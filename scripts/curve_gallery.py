@@ -15,8 +15,6 @@ import argparse
 import csv
 from pathlib import Path
 
-import numpy as np
-
 from hartogs.geometry import connect_T, connect_Tinf, dist_bT, dist_bTinf
 from hartogs.points import PolarPoint
 from hartogs.quadrature import sample_T

@@ -24,13 +24,13 @@ times a radial reduction), which is exact for these integrands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .points import PolarPoint
-from .quadrature import QuadratureSpec, integrate_T, _gl_unit, _angular_nodes
+from .quadrature import QuadratureSpec, integrate_T, _gl_unit, _angular_nodes, _tensor_values
 
 __all__ = [
     "LaurentIndex",
@@ -182,22 +182,15 @@ def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentC
 
     Evaluates f once on the tensor grid, takes the angular transform onto
     the block's mode pairs, then reduces radially; identical to the plain
-    quadrature pairing, node for node.
+    quadrature pairing, node for node.  Raises NonFiniteIntegrandError (a
+    ValueError) at the first node where f is nan/inf.
     """
     idxs = block_indices(jmax, kmax)
     n = spec.level
     xs, wxs = _gl_unit(n)
     ss, wss = _gl_unit(n)
     ang, wang = _angular_nodes(n)
-
-    X = xs[:, None, None, None]
-    S = ss[None, :, None, None]
-    A = ang[None, None, :, None]
-    B = ang[None, None, None, :]
-    vals = np.asarray(f(X * S, A, S, B), dtype=complex)
-    vals = np.broadcast_to(vals, (n, n, n, n))
-    if not np.isfinite(vals).all():
-        raise ValueError("field returned non-finite values on T; cannot project")
+    vals = _tensor_values(f, xs, ss, ang)
 
     W = (wxs * xs)[:, None] * (wss * ss**3)[None, :]
     norm_sq = float(np.sum((np.abs(vals) ** 2).sum(axis=(2, 3)) * W) * wang * wang)

@@ -11,13 +11,13 @@ identical parameters give identical rows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bergman, boundary, dbar, geometry, spectral
-from .points import PolarPoint, angle_diff
-from .quadrature import QuadratureSpec, integrate_T, sample_T_arrays
+from .points import PolarPoint, euclid
+from .quadrature import QuadratureSpec, integrate_T
 
 __all__ = ["CheckRow", "RunParams", "CLAIMS", "run_command", "poincare_field_check"]
 
@@ -105,21 +105,19 @@ class RunParams:
     poincare_grid: int = 64
     n_fields: int = 25
 
+    def __post_init__(self):
+        if self.domain not in ("T", "T_infinity", "both"):
+            raise ValueError(f"domain must be 'T', 'T_infinity' or 'both', got {self.domain!r}")
+        self.quad()  # out-of-range quadrature sizes fail here, before any battery runs
+
     def quad(self) -> QuadratureSpec:
-        return QuadratureSpec(
-            level=self.level,
-            seed=self.seed,
-            surface_cells=self.surface_cells,
-            shell_level=self.shell_level,
-        )
+        return QuadratureSpec(level=self.level, surface_cells=self.surface_cells, shell_level=self.shell_level)
 
 
 # ---------------------------------------------------------------- uniform --
 
 
 def run_uniform(params: RunParams) -> list[CheckRow]:
-    if params.domain not in ("T", "T_infinity", "both"):
-        raise ValueError(f"domain must be 'T', 'T_infinity' or 'both', got {params.domain!r}")
     rows = []
     for domain, key, bound in (
         ("T_infinity", "cone", geometry.C_TINF),
@@ -139,10 +137,8 @@ def run_uniform(params: RunParams) -> list[CheckRow]:
     r1, r2 = rng.uniform(0.0, 2.0, (2, n))
     s1, s2 = rng.uniform(0.0, 2.0, (2, n))
     a1, a2, b1, b2 = rng.uniform(-np.pi, np.pi, (4, n))
-    da = np.abs(angle_diff(a1, a2))
-    db = np.abs(angle_diff(b1, b2))
-    lhs = np.abs(r1 - r2) + np.abs(s1 - s2) + np.minimum(r1, r2) * da + np.minimum(s1, s2) * db
-    dist = geometry._euclid(r1, a1, s1, b1, r2, a2, s2, b2)
+    lhs = geometry.polar_lhs_arrays(r1, a1, s1, b1, r2, a2, s2, b2)
+    dist = euclid(r1, a1, s1, b1, r2, a2, s2, b2)
     ratio = np.divide(lhs, 3.0 * dist, out=np.zeros_like(lhs), where=dist > 0)
     violations = int(np.sum(ratio > 1.0))
     rows.append(
@@ -390,7 +386,7 @@ def run_spectrum(params: RunParams) -> list[CheckRow]:
                      drift <= 0.01))
 
     C = spectral.poincare_constant(params.poincare_grid, params.mode_cut)
-    spec = QuadratureSpec(level=max(12, params.level // 2), seed=params.seed)
+    spec = QuadratureSpec(level=max(12, params.level // 2))
     worst, ok = poincare_field_check(C, params.mode_cut, params.n_fields, params.seed + 5, spec)
     rows.append(_row("spectrum.poincare",
                      {"n": params.poincare_grid, "mode_cut": params.mode_cut, "fields": params.n_fields,

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .points import PolarPoint
-from .quadrature import QuadratureSpec, gauss_legendre, integrate_T, _gl_unit, _angular_nodes
+from .quadrature import QuadratureSpec, integrate_T, _gl_unit, _angular_nodes
 from .bergman import v_eval_arrays
 
 __all__ = [
@@ -154,10 +154,9 @@ def w1_energy_u_delta(fspec: DeltaFamilySpec, quad: QuadratureSpec) -> float:
     n = max(64, quad.shell_level)
     four_pi2 = (2.0 * np.pi) ** 2
 
-    # s > delta: |d/dz u|^2 + |d/dw u|^2 reduce to (j/2 + (j+1)/2)/s
-    y, wy = _gl_unit(n)
-    L = np.log(1.0 / delta)
-    outer = four_pi2 * (j / 2.0 + (j + 1) / 2.0) * L * float(np.sum(np.ones_like(y) * wy))
+    # s > delta: |d/dz u|^2 + |d/dw u|^2 reduce to (j/2 + (j+1)/2)/s, whose
+    # s-integral over (delta, 1) is ln(1/delta) in closed form
+    outer = four_pi2 * (j / 2.0 + (j + 1) / 2.0) * np.log(1.0 / delta)
 
     # s < delta: weights (s/delta)^{2 delta} s^{2 delta - 1} profiles
     is_ = _s_profile_integral(delta, n)

@@ -31,6 +31,11 @@ The companion polar estimate used by the length bound:
     |r1-r2| + |s1-s2| + min(r1,r2)|a1-a2| + min(s1,s2)|b1-b2| <= 3 |p1-p2|
 
 whenever |a1-a2|, |b1-b2| <= pi.
+
+Each formula has one array implementation (``dist_boundary``,
+``polar_lhs_arrays`` and the curve helpers ``_arc``, ``_length``,
+``_pieces``), shared by ``verify_uniform``; the point-level functions and
+the ``Curve`` methods are scalar views on it.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .points import PolarPoint, angle_diff
+from .points import PolarPoint, angle_diff, euclid
 from .quadrature import sample_T_arrays
 
 __all__ = [
@@ -47,8 +52,10 @@ __all__ = [
     "C_T",
     "Curve",
     "UniformityReport",
+    "dist_boundary",
     "dist_bTinf",
     "dist_bT",
+    "polar_lhs_arrays",
     "polar_lhs",
     "connect_Tinf",
     "connect_T",
@@ -61,31 +68,76 @@ C_T = (1.0 + 4.0 * np.sqrt(2.0)) * (5.0 + 2.0 * np.pi + 4.0 * np.sqrt(2.0)) / np
 _SQ2 = np.sqrt(2.0)
 
 
+def dist_boundary(r, s, cap: bool):
+    """Signed boundary distance on radius arrays: (s - r)/sqrt(2), capped by
+    1 - s when cap (domain T).  Positive exactly inside the domain, so a
+    nonpositive value flags a point on or outside the boundary."""
+    d = (s - r) / _SQ2
+    return np.minimum(d, 1.0 - s) if cap else d
+
+
 def dist_bTinf(p: PolarPoint) -> float:
     """Distance to the cone boundary {|z| = |w|}: |s - r|/sqrt(2)."""
-    return abs(p.s - p.r) / _SQ2
+    return float(abs(dist_boundary(p.r, p.s, cap=False)))
 
 
 def dist_bT(p: PolarPoint) -> float:
     """Distance to bT for p in T: min{(s - r)/sqrt(2), 1 - s}."""
     if not p.in_T():
         raise ValueError(f"point (r={p.r}, s={p.s}) is not in T")
-    return min((p.s - p.r) / _SQ2, 1.0 - p.s)
+    return float(dist_boundary(p.r, p.s, cap=True))
 
 
-def polar_lhs(p1: PolarPoint, p2: PolarPoint) -> float:
-    """Polar upper-bound functional; always <= 3 |p1 - p2|.
+def polar_lhs_arrays(r1, a1, s1, b1, r2, a2, s2, b2):
+    """Polar upper-bound functional on broadcastable arrays; <= 3 |p1 - p2|.
 
     Angle differences are wrapped to (-pi, pi] before use.
     """
-    da = abs(angle_diff(p1.alpha, p2.alpha))
-    db = abs(angle_diff(p1.beta, p2.beta))
-    return (
-        abs(p1.r - p2.r)
-        + abs(p1.s - p2.s)
-        + min(p1.r, p2.r) * da
-        + min(p1.s, p2.s) * db
-    )
+    da = np.abs(angle_diff(a1, a2))
+    db = np.abs(angle_diff(b1, b2))
+    return np.abs(r1 - r2) + np.abs(s1 - s2) + np.minimum(r1, r2) * da + np.minimum(s1, s2) * db
+
+
+def polar_lhs(p1: PolarPoint, p2: PolarPoint) -> float:
+    """Scalar view of :func:`polar_lhs_arrays`."""
+    return float(polar_lhs_arrays(*_polar(p1), *_polar(p2)))
+
+
+def _polar(p: PolarPoint) -> tuple:
+    return (p.r, p.alpha, p.s, p.beta)
+
+
+# The curve helpers below take endpoints c1, c2 as (r, alpha, s, beta) tuples
+# of scalars or of broadcastable arrays, and the arc as (R, S, dalpha, dbeta).
+
+
+def _arc(c1, c2, rescale: bool):
+    """Pair distance d and the arc (R, S, dalpha, dbeta) joining c1 to c2."""
+    d = euclid(*c1, *c2)
+    kappa = 1.0 / (1.0 + 2.0 * d) if rescale else 1.0
+    R = kappa * np.minimum(c1[0], c2[0])
+    S = kappa * (np.maximum(c1[2], c2[2]) + d)
+    return d, (R, S, angle_diff(c2[1], c1[1]), angle_diff(c2[3], c1[3]))
+
+
+def _length(c1, c2, arc):
+    """Lengths of segment 1, the arc and segment 2.  Each segment keeps its
+    endpoint's angles, so its length is the planar distance of the radii."""
+    R, S, dal, dbe = arc
+    return (np.hypot(c1[0] - R, c1[2] - S), np.hypot(R * dal, S * dbe), np.hypot(c2[0] - R, c2[2] - S))
+
+
+def _pieces(c1, c2, arc, t):
+    """Yield the (r, alpha, s, beta) samples of the three pieces at parameters t."""
+    (r1, a1, s1, b1), (r2, a2, s2, b2), (R, S, dal, dbe) = c1, c2, arc
+    shape = np.broadcast(r1, t).shape
+    const = lambda x: np.broadcast_to(x, shape)
+    # segment 1: radii p1 -> (R, S) at angles (alpha1, beta1)
+    yield r1 + t * (R - r1), const(a1), s1 + t * (S - s1), const(b1)
+    # arc at radii (R, S), both angles affine
+    yield const(R), a1 + t * dal, const(S), b1 + t * dbe
+    # segment 2: radii (R, S) -> p2 at angles (alpha2, beta2)
+    yield R + t * (r2 - R), const(a2), S + t * (s2 - S), const(b2)
 
 
 @dataclass(frozen=True)
@@ -113,59 +165,29 @@ class Curve:
     def q2(self) -> PolarPoint:
         return PolarPoint(self.arc_r, self.p2.alpha, self.arc_s, self.p2.beta)
 
+    def _parts(self):
+        return _polar(self.p1), _polar(self.p2), (self.arc_r, self.arc_s, self.dalpha, self.dbeta)
+
     def arc_length(self) -> float:
-        return float(np.hypot(self.arc_r * self.dalpha, self.arc_s * self.dbeta))
+        return float(_length(*self._parts())[1])
 
     def length(self) -> float:
         """Closed-form total length |p1-q1| + arc + |q2-p2|."""
-        l1 = np.hypot(self.p1.r - self.arc_r, self.p1.s - self.arc_s)
-        l2 = np.hypot(self.p2.r - self.arc_r, self.p2.s - self.arc_s)
-        return float(l1 + self.arc_length() + l2)
+        return float(sum(_length(*self._parts())))
 
     def sample(self, n_per_piece: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(r, alpha, s, beta) arrays of 3*n points, t equispaced per piece."""
         if n_per_piece < 2:
             raise ValueError("need at least 2 samples per piece")
-        t = np.linspace(0.0, 1.0, n_per_piece)
-        p1, p2 = self.p1, self.p2
-        # segment 1: p1 -> q1 at angles (alpha1, beta1)
-        r1 = p1.r + t * (self.arc_r - p1.r)
-        s1 = p1.s + t * (self.arc_s - p1.s)
-        a1 = np.full_like(t, p1.alpha)
-        b1 = np.full_like(t, p1.beta)
-        # arc: q1 -> q2
-        ra = np.full_like(t, self.arc_r)
-        sa = np.full_like(t, self.arc_s)
-        aa = p1.alpha + t * self.dalpha
-        ba = p1.beta + t * self.dbeta
-        # segment 2: q2 -> p2
-        r2 = self.arc_r + t * (p2.r - self.arc_r)
-        s2 = self.arc_s + t * (p2.s - self.arc_s)
-        a2 = np.full_like(t, p2.alpha)
-        b2 = np.full_like(t, p2.beta)
-        return (
-            np.concatenate([r1, ra, r2]),
-            np.concatenate([a1, aa, a2]),
-            np.concatenate([s1, sa, s2]),
-            np.concatenate([b1, ba, b2]),
-        )
+        pieces = _pieces(*self._parts(), np.linspace(0.0, 1.0, n_per_piece))
+        return tuple(np.concatenate(coord) for coord in zip(*pieces))
 
 
 def _connect(p1: PolarPoint, p2: PolarPoint, rescale: bool) -> Curve:
-    d = p1.dist(p2)
+    d, arc = _arc(_polar(p1), _polar(p2), rescale)
     if d == 0.0:
         raise ValueError("endpoints coincide; no curve to construct")
-    r_star = min(p1.r, p2.r)
-    s_star = max(p1.s, p2.s) + d
-    kappa = 1.0 / (1.0 + 2.0 * d) if rescale else 1.0
-    return Curve(
-        p1=p1,
-        p2=p2,
-        arc_r=kappa * r_star,
-        arc_s=kappa * s_star,
-        dalpha=angle_diff(p2.alpha, p1.alpha),
-        dbeta=angle_diff(p2.beta, p1.beta),
-    )
+    return Curve(p1, p2, *(float(x) for x in arc))
 
 
 def connect_Tinf(p1: PolarPoint, p2: PolarPoint) -> Curve:
@@ -196,25 +218,15 @@ class UniformityReport:
     passed: bool
 
 
-def _euclid(r1, a1, s1, b1, r2, a2, s2, b2):
-    dz2 = r1**2 + r2**2 - 2.0 * r1 * r2 * np.cos(a1 - a2)
-    dw2 = s1**2 + s2**2 - 2.0 * s1 * s2 * np.cos(b1 - b2)
-    return np.sqrt(np.maximum(dz2, 0.0) + np.maximum(dw2, 0.0))
+def _piece_ratios(piece, c1, c2, cap: bool):
+    """Max cigar ratio and min boundary distance over one sampled piece.
 
-
-def _piece_ratios(rr, aa, ss, bb, pair, use_cap):
-    """Max cigar ratio and min boundary distance over sampled piece points.
-
-    rr, aa, ss, bb: (npairs, m) sample coordinates; pair: the 8 endpoint
-    coordinate arrays; use_cap: include the 1 - s distance term (domain T).
+    A function of its own so that the piece's (pairs, samples) temporaries
+    are freed before the next piece is built.
     """
-    r1, a1, s1, b1, r2, a2, s2, b2 = [c[:, None] for c in pair]
-    d1 = _euclid(rr, aa, ss, bb, r1, a1, s1, b1)
-    d2 = _euclid(rr, aa, ss, bb, r2, a2, s2, b2)
-    dmin = np.minimum(d1, d2)
-    dist_b = (ss - rr) / _SQ2
-    if use_cap:
-        dist_b = np.minimum(dist_b, 1.0 - ss)
+    rr, _, ss, _ = piece
+    dmin = np.minimum(euclid(*piece, *c1), euclid(*piece, *c2))
+    dist_b = dist_boundary(rr, ss, cap)
     ratio = np.where(dmin > 0.0, dmin / dist_b, 0.0)
     return float(ratio.max()), float(dist_b.min())
 
@@ -240,46 +252,21 @@ def verify_uniform(domain: str, n_pairs: int, n_curve_samples: int = 256, seed=0
     r, a, s, b = sample_T_arrays(2 * n_pairs, seed)
     if not use_cap:
         r, s = 2.0 * r, 2.0 * s
-    r1, a1, s1, b1 = r[:n_pairs], a[:n_pairs], s[:n_pairs], b[:n_pairs]
-    r2, a2, s2, b2 = r[n_pairs:], a[n_pairs:], s[n_pairs:], b[n_pairs:]
 
     max_len = 0.0
     max_ratio = 0.0
     min_bdist = np.inf
-    t = np.linspace(0.0, 1.0, n_curve_samples)[None, :]
+    t = np.linspace(0.0, 1.0, n_curve_samples)
     chunk = max(1, min(n_pairs, 2_000_000 // n_curve_samples))
     for lo in range(0, n_pairs, chunk):
         hi = min(lo + chunk, n_pairs)
-        pair = (r1[lo:hi], a1[lo:hi], s1[lo:hi], b1[lo:hi], r2[lo:hi], a2[lo:hi], s2[lo:hi], b2[lo:hi])
-        cr1, ca1, cs1, cb1, cr2, ca2, cs2, cb2 = pair
-        d = _euclid(*pair)
-        kappa = 1.0 / (1.0 + 2.0 * d) if use_cap else np.ones_like(d)
-        R = kappa * np.minimum(cr1, cr2)
-        S = kappa * (np.maximum(cs1, cs2) + d)
-        dal = angle_diff(ca2, ca1)
-        dbe = angle_diff(cb2, cb1)
-
-        length = (
-            np.hypot(cr1 - R, cs1 - S)
-            + np.hypot(R * dal, S * dbe)
-            + np.hypot(cr2 - R, cs2 - S)
-        )
-        max_len = max(max_len, float((length / d).max()))
-
-        col = lambda x: x[:, None]
-        pieces = (
-            # segment 1: radii p1 -> (R, S) at angles (alpha1, beta1)
-            (col(cr1) + t * col(R - cr1), np.broadcast_to(col(ca1), (hi - lo, n_curve_samples)),
-             col(cs1) + t * col(S - cs1), np.broadcast_to(col(cb1), (hi - lo, n_curve_samples))),
-            # arc at radii (R, S), both angles affine
-            (np.broadcast_to(col(R), (hi - lo, n_curve_samples)), col(ca1) + t * col(dal),
-             np.broadcast_to(col(S), (hi - lo, n_curve_samples)), col(cb1) + t * col(dbe)),
-            # segment 2: radii (R, S) -> p2 at angles (alpha2, beta2)
-            (col(R) + t * col(cr2 - R), np.broadcast_to(col(ca2), (hi - lo, n_curve_samples)),
-             col(S) + t * col(cs2 - S), np.broadcast_to(col(cb2), (hi - lo, n_curve_samples))),
-        )
-        for rr, aa, ss, bb in pieces:
-            ratio, bdist = _piece_ratios(rr, aa, ss, bb, pair, use_cap)
+        # endpoints as (pairs, 1) columns against the (samples,) parameters
+        c1 = tuple(x[lo:hi, None] for x in (r, a, s, b))
+        c2 = tuple(x[n_pairs + lo : n_pairs + hi, None] for x in (r, a, s, b))
+        d, arc = _arc(c1, c2, use_cap)
+        max_len = max(max_len, float((sum(_length(c1, c2, arc)) / d).max()))
+        for piece in _pieces(c1, c2, arc, t):
+            ratio, bdist = _piece_ratios(piece, c1, c2, use_cap)
             max_ratio = max(max_ratio, ratio)
             min_bdist = min(min_bdist, bdist)
 

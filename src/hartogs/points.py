@@ -11,7 +11,9 @@ element of C^2 in these coordinates is dV = r s dr ds dalpha dbeta.
 
 Angles are kept in the canonical branch (-pi, pi].  ``angle_diff`` returns the
 wrapped difference, which is what every arc construction and every polar
-distance estimate in :mod:`hartogs.geometry` expects.
+distance estimate in :mod:`hartogs.geometry` expects.  ``euclid`` is the one
+implementation of the Euclidean distance from polar data; ``PolarPoint.dist``
+is its scalar view.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PolarPoint", "angle_wrap", "angle_diff"]
+__all__ = ["PolarPoint", "angle_wrap", "angle_diff", "euclid"]
 
 
 def angle_wrap(a):
@@ -36,6 +38,16 @@ def angle_wrap(a):
 def angle_diff(a, b):
     """Wrapped difference a - b in (-pi, pi]."""
     return angle_wrap(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+
+
+def euclid(r1, a1, s1, b1, r2, a2, s2, b2):
+    """Euclidean distance in C^2 between polar points, on broadcastable arrays.
+
+    |z1 - z2|^2 = r1^2 + r2^2 - 2 r1 r2 cos(a1 - a2), same in w.
+    """
+    dz2 = r1**2 + r2**2 - 2.0 * r1 * r2 * np.cos(a1 - a2)
+    dw2 = s1**2 + s2**2 - 2.0 * s1 * s2 * np.cos(b1 - b2)
+    return np.sqrt(np.maximum(dz2, 0.0) + np.maximum(dw2, 0.0))
 
 
 @dataclass(frozen=True)
@@ -60,10 +72,7 @@ class PolarPoint:
         return PolarPoint(abs(z), float(np.angle(z)), abs(w), float(np.angle(w)))
 
     def to_cartesian(self) -> tuple[complex, complex]:
-        return (
-            self.r * np.exp(1j * self.alpha),
-            self.s * np.exp(1j * self.beta),
-        )
+        return self.z, self.w
 
     @property
     def z(self) -> complex:
@@ -78,13 +87,8 @@ class PolarPoint:
         return float(np.hypot(self.r, self.s))
 
     def dist(self, other: "PolarPoint") -> float:
-        """Euclidean distance in C^2, computed from polar data.
-
-        |z1 - z2|^2 = r1^2 + r2^2 - 2 r1 r2 cos(alpha1 - alpha2), same in w.
-        """
-        dz2 = self.r**2 + other.r**2 - 2.0 * self.r * other.r * np.cos(self.alpha - other.alpha)
-        dw2 = self.s**2 + other.s**2 - 2.0 * self.s * other.s * np.cos(self.beta - other.beta)
-        return float(np.sqrt(max(dz2, 0.0) + max(dw2, 0.0)))
+        """Euclidean distance in C^2, computed from polar data by ``euclid``."""
+        return float(euclid(self.r, self.alpha, self.s, self.beta, other.r, other.alpha, other.s, other.beta))
 
     def in_T(self) -> bool:
         return self.r < self.s < 1.0

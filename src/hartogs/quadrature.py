@@ -52,24 +52,18 @@ class QuadratureSpec:
     """Controls every integral in the package; the determinism anchor.
 
     level: per-axis node count of the tensor rule on T.
-    mc_samples: sample count for Monte Carlo style checks.
-    seed: 64-bit seed for all random draws.
     surface_cells: per-axis midpoint cells for boundary-measure integrals
         (indicator-type integrands; Gauss rules are wrong for those).
     shell_level: per-axis Gauss nodes for the thin-shell cutoff integrals.
     """
 
     level: int = 32
-    mc_samples: int = 100_000
-    seed: int = 0
     surface_cells: int = 768
     shell_level: int = 96
 
     def __post_init__(self):
         if self.level < 1:
             raise ValueError("level must be >= 1")
-        if self.mc_samples < 0:
-            raise ValueError("mc_samples must be >= 0")
         if self.surface_cells < 8:
             raise ValueError("surface_cells must be >= 8")
         if self.shell_level < 4:
@@ -113,6 +107,23 @@ def _angular_nodes(n: int) -> tuple[np.ndarray, float]:
     return nodes, 2.0 * np.pi / n
 
 
+def _tensor_values(f: Callable, xs: np.ndarray, ss: np.ndarray, ang: np.ndarray) -> np.ndarray:
+    """f on the (x, s, alpha, beta) tensor grid, r = x*s, broadcast to full
+    complex shape; NonFiniteIntegrandError names the first nan/inf node."""
+    X = xs[:, None, None, None]
+    S = ss[None, :, None, None]
+    A = ang[None, None, :, None]
+    B = ang[None, None, None, :]
+    vals = np.asarray(f(X * S, A, S, B), dtype=complex)
+    vals = np.broadcast_to(vals, (xs.size, ss.size, ang.size, ang.size))
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i, j, k, l = np.argwhere(~finite)[0]
+        node = (float(xs[i] * ss[j]), float(ang[k]), float(ss[j]), float(ang[l]))
+        raise NonFiniteIntegrandError(node, vals[i, j, k, l])
+    return vals
+
+
 def integrate_T(f: Callable, spec: QuadratureSpec) -> complex:
     """Integrate f over T with respect to dV = r s dr ds dalpha dbeta.
 
@@ -127,20 +138,7 @@ def integrate_T(f: Callable, spec: QuadratureSpec) -> complex:
     xs, wxs = _gl_unit(n)  # inner radius fraction x = r/s
     ss, wss = _gl_unit(n)  # outer radius s
     ang, wang = _angular_nodes(n)
-
-    X = xs[:, None, None, None]
-    S = ss[None, :, None, None]
-    A = ang[None, None, :, None]
-    B = ang[None, None, None, :]
-    R = X * S
-
-    vals = np.asarray(f(R, A, S, B), dtype=complex)
-    vals = np.broadcast_to(vals, (n, n, n, n))
-    finite = np.isfinite(vals.real) & np.isfinite(vals.imag)
-    if not finite.all():
-        i, j, k, l = np.argwhere(~finite)[0]
-        node = (float(xs[i] * ss[j]), float(ang[k]), float(ss[j]), float(ang[l]))
-        raise NonFiniteIntegrandError(node, vals[i, j, k, l])
+    vals = _tensor_values(f, xs, ss, ang)
 
     # weight: (x s^3) dx ds dalpha dbeta
     w_rad = (wxs * xs)[:, None] * (wss * ss**3)[None, :]

@@ -21,8 +21,8 @@ Eigenpairs come from shift-invert Lanczos on the generalized pencil
 (stiffness, mass); the zero mode of (0, 0) is reproduced at roundoff level
 and the Poincare constant is estimated as 1/lambda-hat with lambda-hat the
 smallest nonzero eigenvalue over modes |l|, |m| <= mode_cut (modes enter
-through l^2, m^2, so nonnegative l, m suffice).  The estimate is one-sided:
-raising mode_cut or n can only refine it.
+through l^2, m^2, so nonnegative l, m suffice).  For mode_cut >= 1 the
+estimate does not depend on mode_cut; see :func:`poincare_constant`.
 """
 
 from __future__ import annotations
@@ -173,6 +173,11 @@ def poincare_constant(n: int, mode_cut: int) -> float:
 
     lambda-hat is the smallest nonzero eigenvalue: index 1 for (0, 0) whose
     kernel is the constants, index 0 for every other mode.
+
+    C does not depend on mode_cut for mode_cut >= 1: with the mass shared,
+    the stiffness of (l, m) is that of (1, 0) or (0, 1) plus a nonnegative
+    diagonal, so no mode undercuts (0, 0), (1, 0) and (0, 1).  At n = 64,
+    C = 0.543454059980297 for mode_cut 1, 2 and 3.
     """
     if mode_cut < 1:
         raise ValueError("mode_cut must be >= 1")

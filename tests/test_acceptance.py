@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from hartogs import cli, geometry
+from hartogs import cli
 from hartogs.bergman import (
     LaurentIndex,
     basis_gram,
@@ -40,7 +40,7 @@ from hartogs.dbar import (
     l2_gap,
 )
 from hartogs.geometry import verify_uniform
-from hartogs.points import PolarPoint, angle_diff
+from hartogs.points import PolarPoint, angle_diff, euclid
 from hartogs.quadrature import QuadratureSpec
 from hartogs.spectral import neumann_spectrum, poincare_constant
 
@@ -87,7 +87,7 @@ def test_criterion_03_polar_distance():
         + np.minimum(r1, r2) * np.abs(angle_diff(a1, a2))
         + np.minimum(s1, s2) * np.abs(angle_diff(b1, b2))
     )
-    dist = geometry._euclid(r1, a1, s1, b1, r2, a2, s2, b2)
+    dist = euclid(r1, a1, s1, b1, r2, a2, s2, b2)
     violations = int(np.sum(lhs > 3.0 * dist + 1e-12))
     assert violations == 0, f"{violations} of {n} pairs violated lhs <= 3|p1-p2|"
     elapsed = time.perf_counter() - t0

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +98,39 @@ def test_bad_config_json_exits_2(tmp_path, capsys):
     cfg.write_text("{not json")
     code = main(["uniform", "--config", str(cfg)])
     assert code == 2
+
+
+def test_out_of_range_flag_exits_2(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(["adr", "--surface-cells", "4", "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_of_range_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": "X"}))
+    out = tmp_path / "r.json"
+    code = main(["uniform", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_m_hartogs_matches_main(tmp_path):
+    code, expected = run_uniform(tmp_path / "main", fmt="csv")
+    assert code == 0
+    out = tmp_path / "module.csv"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hartogs", "uniform", "--domain", "T", *FAST,
+         "--out", str(out), "--format", "csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_config_unknown_key_exits_2(tmp_path):

@@ -31,10 +31,12 @@ def test_dist_bTinf_values():
     assert dist_bTinf(PolarPoint(0, 0, 1, 0)) == pytest.approx(1 / np.sqrt(2))
     assert dist_bTinf(PolarPoint(0.4, 1.0, 0.4, 2.0)) == 0.0
     assert dist_bTinf(PolarPoint(0.2, 0, 0.6, 0)) == pytest.approx(0.4 / np.sqrt(2))
+    assert type(dist_bTinf(PolarPoint(0.2, 0, 0.6, 0))) is float
 
 
 def test_dist_bT_values():
     assert dist_bT(PolarPoint(0.2, 0, 0.6, 0)) == pytest.approx(0.4 / np.sqrt(2))
+    assert type(dist_bT(PolarPoint(0.2, 0, 0.6, 0))) is float  # the cone term is the minimum
     assert dist_bT(PolarPoint(0.0, 0, 0.99, 0)) == pytest.approx(0.01)
     with pytest.raises(ValueError):
         dist_bT(PolarPoint(0.7, 0, 0.5, 0))

@@ -43,8 +43,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(level=0)
     with pytest.raises(ValueError):
-        QuadratureSpec(mc_samples=-1)
-    with pytest.raises(ValueError):
         QuadratureSpec(surface_cells=2)
 
 
