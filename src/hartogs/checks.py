@@ -49,7 +49,7 @@ CLAIMS = {
     "dbar.cutoff.cs": "int |dbar chi|^2 |f|^2 <= sqrt(int |dbar chi|^4) * sqrt(int |f|^4) on shared nodes",
     "dbar.cutoff.firstfactor": "int over B_{2 delta} cap T of |dbar chi_delta|^4 is independent of delta",
     "dbar.cutoff.decay.smooth": "for bounded f the shell energy int |dbar chi|^2 |f|^2 decays like delta^2",
-    "dbar.cutoff.borderline": "for |f| = 1/|w| the shell energy is delta-independent; |f|^4 is not integrable",
+    "dbar.cutoff.borderline": "for |f| = 1/|w| the shell energy equals 15*pi^2*ln2/14 for every delta; |f|^4 is not integrable",
     "spectrum.zero": "the (0,0) Neumann mode has eigenvalue 0 with constant eigenfunction",
     "spectrum.kernel": "the zero eigenvalue is simple: the second (0,0) eigenvalue stays away from 0",
     "spectrum.gap.stability": "the first nonzero Neumann eigenvalue is grid-stable between n and 2n",
@@ -108,6 +108,9 @@ class RunParams:
     def __post_init__(self):
         if self.domain not in ("T", "T_infinity", "both"):
             raise ValueError(f"domain must be 'T', 'T_infinity' or 'both', got {self.domain!r}")
+        for name, least in (("pairs", 1), ("grid", 8), ("poincare_grid", 8), ("mode_cut", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
         self.quad()  # out-of-range quadrature sizes fail here, before any battery runs
 
     def quad(self) -> QuadratureSpec:
@@ -318,8 +321,10 @@ def run_dbar(params: RunParams) -> list[CheckRow]:
     smooth_ratio = lhs_by["one"][4] / lhs_by["one"][0]  # delta = 2^-6 vs 2^-2
     rows.append(_row("dbar.cutoff.decay.smooth", {"ratio": "lhs(2^-6)/lhs(2^-2)"}, smooth_ratio, 2.0**-8, 0.05,
                      abs(smooth_ratio - 2.0**-8) <= 0.05 * 2.0**-8))
-    border_var = max(lhs_by["winv"]) / min(lhs_by["winv"]) - 1.0
-    rows.append(_row("dbar.cutoff.borderline", {"deltas": "2^-2..2^-8"}, border_var, 0.0, 0.1, border_var < 0.1))
+    # closed form: 4 pi^2 * (1/4) int_0^1 S'(x)^2 (1+x) dx * int_{pi/4}^{pi/2} cot = 4 pi^2 (15/28) (ln 2)/2
+    border = 15.0 * np.pi**2 * np.log(2.0) / 14.0
+    border_err = max(abs(v / border - 1.0) for v in lhs_by["winv"])
+    rows.append(_row("dbar.cutoff.borderline", {"deltas": "2^-2..2^-8"}, border_err, 0.0, 1e-6, border_err <= 1e-6))
     return rows
 
 
@@ -380,7 +385,7 @@ def run_spectrum(params: RunParams) -> list[CheckRow]:
     rows.append(_row("spectrum.kernel", grid_params, res.eigenvalues[1], 1.0, 0.0, res.eigenvalues[1] > 1.0))
 
     lam_n = res.eigenvalues[1]
-    lam_2n = spectral.neumann_spectrum(0, 0, 2 * params.grid, 2).eigenvalues[1]
+    lam_2n = res.fine_eigenvalues[1]
     drift = abs(lam_n - lam_2n) / lam_2n
     rows.append(_row("spectrum.gap.stability", {"n": params.grid, "2n": 2 * params.grid}, drift, 0.0, 0.01,
                      drift <= 0.01))

@@ -111,10 +111,14 @@ def build_mode(l: int, m: int, n: int) -> ModeProblem:
 
 @dataclass(frozen=True)
 class SpectrumResult:
+    """Lowest eigenvalues of one mode at grid n; ``fine_eigenvalues`` are the
+    same count at grid 2n, against which ``converged`` was judged."""
+
     mode: tuple[int, int]
     eigenvalues: tuple[float, ...]
     grid: int
     converged: bool
+    fine_eigenvalues: tuple[float, ...] = ()
 
     def to_rows(self) -> list[dict]:
         l, m = self.mode
@@ -165,7 +169,8 @@ def neumann_spectrum(l: int, m: int, n: int, count: int) -> SpectrumResult:
         if abs(a - b) > 0.01 * max(abs(a), abs(b)):
             converged = False
             break
-    return SpectrumResult(mode=(l, m), eigenvalues=tuple(float(v) for v in coarse), grid=n, converged=bool(converged))
+    return SpectrumResult(mode=(l, m), eigenvalues=tuple(float(v) for v in coarse), grid=n, converged=bool(converged),
+                          fine_eigenvalues=tuple(float(v) for v in fine))
 
 
 def poincare_constant(n: int, mode_cut: int) -> float:

@@ -1,11 +1,14 @@
 """Boundary-measure engine: cone profile, ball measures, regularity scan."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hartogs.boundary import (
     DIAM_T,
     SIGMA_BT_TOTAL,
+    _cone_ball,
     adr_scan,
     f_profile,
     sigma_ball_Tinf,
@@ -158,3 +161,66 @@ def test_adr_scan_cone_centers_match_profile():
     rho = 0.01
     ratio = sigma_ball_bT(p, rho, SPEC) / rho**3
     assert ratio == pytest.approx(f_profile(0.5 / rho, SPEC), rel=1e-6)
+
+
+def cone_ball_unfolded(az, aw, rho, r_hi, n):
+    """The cone-ball midpoint rule summed over the full n x n (r, alpha) grid."""
+    R = float(np.hypot(az, aw))
+    lo, hi = max(0.0, R - rho), R + rho
+    if r_hi is not None:
+        hi = min(hi, r_hi)
+    if hi <= lo:
+        return 0.0
+    r = lo + (np.arange(n) + 0.5) / n * (hi - lo)
+    base = r * r + R * R - rho * rho
+    q = base - SQ2 * r * aw
+    den = SQ2 * r * az
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(den > 1e-300, q / den, np.where(q < 0.0, -np.inf, np.inf))
+    halfw = np.arccos(np.clip(g, -1.0, 1.0))
+    u = (np.arange(n) + 0.5) / n * 2.0 - 1.0
+    num = base[:, None] - SQ2 * r[:, None] * az * np.cos(halfw[:, None] * u[None, :])
+    denb = SQ2 * r * aw
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(denb[:, None] > 1e-300, num / denb[:, None], np.where(num < 0.0, -np.inf, np.inf))
+    blen = 2.0 * np.arccos(np.clip(c, -1.0, 1.0))
+    alpha_int = blen.sum(axis=1) * (2.0 * halfw / n)
+    return float(np.sum(0.5 * r * r * alpha_int) * (hi - lo) / n)
+
+
+def _kernel_balls():
+    rng = np.random.default_rng(5)
+    balls = [
+        (0.0, 0.0, 1.0, None),  # apex
+        (0.0, 0.0, 0.8, SQ2),
+        (200 / SQ2, 200 / SQ2, 1.0, None),  # far field, t = 200
+        (3.0, 3.0, 0.5, SQ2),  # empty: the ball misses r <= sqrt 2
+        (0.2, 0.0, 0.7, None),  # aw = 0, az > 0: each beta-fiber is empty or the full circle
+    ]
+    for _ in range(4):
+        t = rng.uniform(0.0, 2.0)
+        balls.append((t / SQ2, t / SQ2, rng.uniform(0.01, 2.0), None))  # cone centres
+    for _ in range(4):
+        balls.append((np.sqrt(rng.random()), 1.0, rng.uniform(0.01, DIAM_T), SQ2))  # cylinder centres
+    return balls
+
+
+@pytest.mark.parametrize("n", [768, 767, 64, 33])
+def test_cone_ball_matches_unfolded_sum(n):
+    for az, aw, rho, r_hi in _kernel_balls():
+        ref = cone_ball_unfolded(az, aw, rho, r_hi, n)
+        got = _cone_ball(az, aw, rho, r_hi, n)
+        if ref == 0.0:
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(ref, rel=1e-11, abs=0.0), (az, aw, rho, r_hi)
+
+
+def test_cone_ball_memory_stays_blocked():
+    tracemalloc.start()
+    try:
+        _cone_ball(0.3, 1.0, 1.0, SQ2, 768)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000  # one 768 x 768 float grid alone is 4.7 MB

@@ -102,10 +102,17 @@ def test_bad_config_json_exits_2(tmp_path, capsys):
 
 def test_out_of_range_flag_exits_2(tmp_path, capsys):
     out = tmp_path / "r.json"
-    code = main(["adr", "--surface-cells", "4", "--out", str(out)])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
-    assert not out.exists()
+    for argv in (
+        ["adr", "--surface-cells", "4"],
+        ["uniform", "--pairs", "0"],
+        ["spectrum", "--grid", "4"],
+        ["spectrum", "--poincare-grid", "4"],
+        ["spectrum", "--mode-cut", "0"],
+    ):
+        code = main([*argv, "--out", str(out)])
+        assert code == 2, argv
+        assert "error:" in capsys.readouterr().err, argv
+        assert not out.exists(), argv
 
 
 def test_out_of_range_config_exits_2(tmp_path, capsys):

@@ -82,9 +82,11 @@ def test_eigenvalues_grow():
 
 
 def test_grid_stability():
-    lam64 = neumann_spectrum(0, 0, 64, 2).eigenvalues[1]
-    lam128 = neumann_spectrum(0, 0, 128, 2).eigenvalues[1]
+    res = neumann_spectrum(0, 0, 64, 2)
+    lam64, lam128 = res.eigenvalues[1], res.fine_eigenvalues[1]
     assert abs(lam64 - lam128) / lam128 < 0.01
+    # the kept grid-2n eigenvalues are those of a separate solve at 2n
+    assert res.fine_eigenvalues == neumann_spectrum(0, 0, 128, 2).eigenvalues
 
 
 def test_mode_monotonicity():
