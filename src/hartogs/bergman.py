@@ -18,8 +18,13 @@ d/dw v_jk = (k-j) v_{j,k-1}.
 Evaluation uses the polar form (powers of r, s and one complex exponential)
 to stay stable near w -> 0 for k = -1.  Inner products ride on the tensor
 rule of :func:`hartogs.quadrature.integrate_T`; Gram blocks additionally use
-the factorized form of the very same quadrature sum (angular geometric sums
-times a radial reduction), which is exact for these integrands.
+the factorized form of the very same quadrature sum, which is exact for these
+integrands: one table of angular sums per distinct mode difference and one
+table of radial sums per distinct power pair, combined entry by entry.
+
+The truncated kernel is a factored power sum: v_jk(p) conj(v_jk(q)) =
+X^j Y^k with X = z conj(zeta) / (w conj(eta)) and Y = w conj(eta), so the
+block sum is one bilinear form in the powers of X and Y.
 """
 
 from __future__ import annotations
@@ -106,8 +111,11 @@ def basis_gram(jmax: int, kmax: int, spec: QuadratureSpec) -> tuple[list[Laurent
     """Gram matrix of the block under the tensor rule, factorized form.
 
     Returns (indices, G) with G[a, b] = (v_a, v_b) as the quadrature would
-    produce it: the 4D tensor sum splits into two angular geometric sums and
-    a radial Gauss sum, computed here without materializing the 4D grid.
+    produce it.  The 4D tensor sum splits as A(l_a - l_b) A(m_a - m_b)
+    R(j_a + j_b, k_a + k_b): A(nu) is the angular midpoint sum of e^{i nu
+    alpha}, one per distinct difference, and R(p, q) the radial Gauss sum of
+    x^p s^q against the weight, one per distinct power pair.  G is filled
+    from these two tables without materializing the 4D grid.
     """
     idxs = block_indices(jmax, kmax)
     n = spec.level
@@ -116,23 +124,20 @@ def basis_gram(jmax: int, kmax: int, spec: QuadratureSpec) -> tuple[list[Laurent
     ang, wang = _angular_nodes(n)
     W = (wxs * xs)[:, None] * (wss * ss**3)[None, :]
 
-    def ang_sum(nu: int) -> complex:
-        return complex(np.sum(np.exp(1j * nu * ang)) * wang)
-
-    G = np.zeros((len(idxs), len(idxs)), dtype=complex)
+    # mode differences span [-off, off]; radial powers p in [0, 2 jmax], q in [-2, 2 kmax]
+    off = jmax + kmax + 1
+    A = np.array([complex(np.sum(np.exp(1j * nu * ang)) * wang) for nu in range(-off, off + 1)])
     # radial profile of v_jk in (x, s): r^j s^{k-j} = x^j s^k
-    for a, ia in enumerate(idxs):
-        for b, ib in enumerate(idxs[: a + 1]):
-            la, ma = ia.modes
-            lb, mb = ib.modes
-            ang_part = ang_sum(la - lb) * ang_sum(ma - mb)
-            if ang_part == 0.0:
-                val = 0.0
-            else:
-                rad = np.sum(xs[:, None] ** (ia.j + ib.j) * ss[None, :] ** (ia.k + ib.k) * W)
-                val = ang_part * rad
-            G[a, b] = val
-            G[b, a] = np.conj(val)
+    R = np.array([[np.sum(xs[:, None] ** p * ss[None, :] ** q * W) for q in range(-2, 2 * kmax + 1)]
+                  for p in range(2 * jmax + 1)])
+
+    j = np.array([idx.j for idx in idxs])
+    k = np.array([idx.k for idx in idxs])
+    a, b = np.tril_indices(len(idxs))
+    val = A[j[a] - j[b] + off] * A[(k - j)[a] - (k - j)[b] + off] * R[j[a] + j[b], k[a] + k[b] + 2]
+    G = np.zeros((len(idxs), len(idxs)), dtype=complex)
+    G[a, b] = val
+    G[b, a] = np.conj(val)  # the diagonal keeps the conjugate
     return idxs, G
 
 
@@ -213,14 +218,6 @@ def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentC
     return LaurentCoefficients(entries=entries, jmax=jmax, kmax=kmax, f_norm_sq=norm_sq)
 
 
-def reconstruct(coeffs: LaurentCoefficients, p: PolarPoint) -> complex:
-    """Pointwise sum of the stored expansion at p."""
-    total = 0j
-    for (j, k), a in coeffs.entries.items():
-        total += a * v_eval_arrays(j, k, p.r, p.alpha, p.s, p.beta)
-    return complex(total)
-
-
 def reconstruct_field(coeffs: LaurentCoefficients) -> Callable:
     """The expansion as a field usable by integrate_T / project."""
 
@@ -233,11 +230,17 @@ def reconstruct_field(coeffs: LaurentCoefficients) -> Callable:
     return f
 
 
+def reconstruct(coeffs: LaurentCoefficients, p: PolarPoint) -> complex:
+    """Pointwise sum of the stored expansion at p."""
+    return complex(reconstruct_field(coeffs)(p.r, p.alpha, p.s, p.beta))
+
+
 def kernel_truncated(p: PolarPoint, q: PolarPoint, jmax: int, kmax: int) -> complex:
-    """Truncated reproducing kernel sum_jk v_jk(p) conj(v_jk(q)) / ||v_jk||^2."""
-    total = 0j
-    for idx in block_indices(jmax, kmax):
-        vp = v_eval_arrays(idx.j, idx.k, p.r, p.alpha, p.s, p.beta)
-        vq = v_eval_arrays(idx.j, idx.k, q.r, q.alpha, q.s, q.beta)
-        total += vp * np.conj(vq) / v_norm_sq(idx)
-    return complex(total)
+    """Truncated reproducing kernel sum_jk v_jk(p) conj(v_jk(q)) / ||v_jk||^2,
+    summed as sum_jk X^j Y^k / ||v_jk||^2 (see the module docstring)."""
+    if p.s <= 0.0 or q.s <= 0.0:
+        raise ValueError("v_jk requires s > 0")
+    inv = np.array([1.0 / v_norm_sq(idx) for idx in block_indices(jmax, kmax)]).reshape(jmax + 1, kmax + 2)
+    Y = p.w * np.conj(q.w)
+    X = p.z * np.conj(q.z) / Y
+    return complex(X ** np.arange(jmax + 1) @ inv @ Y ** np.arange(-1, kmax + 1))

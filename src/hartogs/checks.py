@@ -108,9 +108,20 @@ class RunParams:
     def __post_init__(self):
         if self.domain not in ("T", "T_infinity", "both"):
             raise ValueError(f"domain must be 'T', 'T_infinity' or 'both', got {self.domain!r}")
-        for name, least in (("pairs", 1), ("grid", 8), ("poincare_grid", 8), ("mode_cut", 1)):
+        for name, least in (
+            ("seed", 0), ("pairs", 1), ("curve_samples", 2), ("polar_pairs", 1), ("centers", 1),
+            ("dilation_cases", 1), ("jmax", 0), ("kmax", -1), ("grid", 8), ("count", 1), ("mode_cut", 1),
+            ("poincare_grid", 8), ("n_fields", 1),
+        ):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        for name, top in (("rho_set", boundary.DIAM_T), ("deltas", 1.0)):
+            values = getattr(self, name)
+            if not values or not all(0.0 < v <= top for v in values):
+                raise ValueError(f"{name} must be non-empty with every value in (0, {top:.6g}], got {values!r}")
+        cells = self.grid * (self.grid - 1) // 2
+        if self.count >= cells:
+            raise ValueError(f"count must be < {cells}, the (0,0) problem size at grid {self.grid}, got {self.count}")
         self.quad()  # out-of-range quadrature sizes fail here, before any battery runs
 
     def quad(self) -> QuadratureSpec:
@@ -352,12 +363,7 @@ def poincare_field_check(C: float, mode_cut: int, n_fields: int, seed, spec: Qua
         size = int(rng.integers(2, 5))
         picks = rng.choice(len(pool), size=size, replace=False)
         coeffs = {pool[i]: complex(rng.normal(), rng.normal()) for i in picks}
-
-        def g(r, a, s, b, table=coeffs):
-            total = 0j
-            for (j, k), c in table.items():
-                total = total + c * bergman.v_eval_arrays(j, k, r, a, s, b)
-            return total
+        g = bergman.reconstruct_field(bergman.LaurentCoefficients(coeffs, jmax=mode_cut, kmax=2 * mode_cut))
 
         def energy_density(r, a, s, b, table=coeffs):
             gz = 0j

@@ -190,7 +190,8 @@ def w1_energy_u_raw(j: int, level: int) -> float:
 def smoothstep(x):
     """Quintic smoothstep: 0 below 0, 1 above 1, 6x^5-15x^4+10x^3 between."""
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    return x**3 * (x * (6.0 * x - 15.0) + 10.0)
+    # the rounded polynomial overshoots 1 by up to 1.3e-15 within 6e-6 of x = 1
+    return np.minimum(x**3 * (x * (6.0 * x - 15.0) + 10.0), 1.0)
 
 
 def smoothstep_deriv(x):

@@ -27,6 +27,7 @@ frozen expected values and requires a major version bump.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,15 +84,19 @@ class NonFiniteIntegrandError(ValueError):
         )
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1].
 
     Nodes strictly increasing and symmetric about 0; weights positive and
-    summing to 2.
+    summing to 2.  Built once per node count; the arrays are shared between
+    callers and therefore read-only.
     """
     if n < 1:
         raise ValueError("node count must be >= 1")
     nodes, weights = np.polynomial.legendre.leggauss(int(n))
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return nodes, weights
 
 

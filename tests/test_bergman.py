@@ -19,7 +19,7 @@ from hartogs.bergman import (
     v_norm_sq,
 )
 from hartogs.points import PolarPoint
-from hartogs.quadrature import QuadratureSpec, sample_T
+from hartogs.quadrature import QuadratureSpec, _angular_nodes, _gl_unit, sample_T
 
 SPEC = QuadratureSpec(level=24)
 
@@ -86,6 +86,42 @@ def test_gram_orthogonality_and_match_generic_quadrature():
         ia, ib = rng.integers(0, len(idxs), 2)
         generic = inner_product(v_field(idxs[ia]), v_field(idxs[ib]), SPEC)
         assert abs(G[ia, ib] - generic) <= 1e-12 * max(1.0, abs(generic))
+
+
+def gram_pair_loop(jmax, kmax, spec):
+    """Reference Gram: one angular and one radial sum per index pair."""
+    idxs = block_indices(jmax, kmax)
+    n = spec.level
+    xs, wxs = _gl_unit(n)
+    ss, wss = _gl_unit(n)
+    ang, wang = _angular_nodes(n)
+    W = (wxs * xs)[:, None] * (wss * ss**3)[None, :]
+
+    def ang_sum(nu):
+        return complex(np.sum(np.exp(1j * nu * ang)) * wang)
+
+    G = np.zeros((len(idxs), len(idxs)), dtype=complex)
+    for a, ia in enumerate(idxs):
+        for b, ib in enumerate(idxs[: a + 1]):
+            la, ma = ia.modes
+            lb, mb = ib.modes
+            ang_part = ang_sum(la - lb) * ang_sum(ma - mb)
+            val = 0.0
+            if ang_part != 0.0:
+                val = ang_part * np.sum(xs[:, None] ** (ia.j + ib.j) * ss[None, :] ** (ia.k + ib.k) * W)
+            G[a, b] = val
+            G[b, a] = np.conj(val)
+    return idxs, G
+
+
+@pytest.mark.parametrize("jmax, kmax, level", [(8, 8, 24), (3, 0, 7), (0, -1, 4), (8, 8, 8)])
+def test_gram_matches_pair_loop(jmax, kmax, level):
+    spec = QuadratureSpec(level=level)
+    idxs, G = basis_gram(jmax, kmax, spec)
+    ref_idxs, ref = gram_pair_loop(jmax, kmax, spec)
+    assert idxs == ref_idxs
+    assert np.abs(G - ref).max() <= 1e-15 * np.abs(ref).max()
+    assert np.array_equal(G, G.conj().T)
 
 
 def test_projection_identity_on_basis():
@@ -157,6 +193,34 @@ def test_kernel_two_term_example():
     val = kernel_truncated(p, p, 0, 0)
     assert val.real == pytest.approx(1.0 / (np.pi**2 * p.s**2) + 2.0 / np.pi**2, rel=1e-12)
     assert abs(val.imag) <= 1e-15
+
+
+def kernel_index_loop(p, q, jmax, kmax):
+    """Reference kernel: one term v_jk(p) conj(v_jk(q)) / ||v_jk||^2 per index."""
+    total = 0j
+    for idx in block_indices(jmax, kmax):
+        total += v_eval(idx, p) * np.conj(v_eval(idx, q)) / v_norm_sq(idx)
+    return total
+
+
+@pytest.mark.parametrize("jmax, kmax", [(0, -1), (8, 8), (32, 32)])
+def test_kernel_matches_index_loop(jmax, kmax):
+    rng = np.random.default_rng(jmax + 11)
+    for _ in range(40):
+        p, q = (PolarPoint(float(r), float(rng.uniform(-np.pi, np.pi)), float(rng.uniform(r + 0.05, 1.0)),
+                           float(rng.uniform(-np.pi, np.pi))) for r in rng.uniform(0.0, 0.9, 2))
+        ref = kernel_index_loop(p, q, jmax, kmax)
+        val = kernel_truncated(p, q, jmax, kmax)
+        assert abs(val - ref) <= 1e-11 * abs(ref)
+        assert val == np.conj(kernel_truncated(q, p, jmax, kmax))
+
+
+def test_kernel_rejects_zero_w():
+    p = PolarPoint(0.2, 0.0, 0.5, 0.0)
+    with pytest.raises(ValueError):
+        kernel_truncated(p, PolarPoint(0.0, 0.0, 0.0, 0.0), 2, 2)
+    with pytest.raises(ValueError):
+        kernel_truncated(PolarPoint(0.0, 0.0, 0.0, 0.0), p, 2, 2)
 
 
 def test_kernel_hermitian_and_monotone():

@@ -108,6 +108,20 @@ def test_out_of_range_flag_exits_2(tmp_path, capsys):
         ["spectrum", "--grid", "4"],
         ["spectrum", "--poincare-grid", "4"],
         ["spectrum", "--mode-cut", "0"],
+        ["uniform", "--seed", "-1"],
+        ["uniform", "--curve-samples", "1"],
+        ["uniform", "--polar-pairs", "0"],
+        ["adr", "--centers", "0"],
+        ["adr", "--rho-set", "5"],
+        ["adr", "--rho-set", "nan"],
+        ["adr", "--dilation-cases", "0"],
+        ["bergman", "--jmax", "-1"],
+        ["bergman", "--kmax", "-2"],
+        ["dbar", "--deltas", "2"],
+        ["spectrum", "--count", "0"],
+        ["spectrum", "--count", "2000", "--grid", "8"],
+        ["spectrum", "--count", "28", "--grid", "8"],
+        ["spectrum", "--n-fields", "0"],
     ):
         code = main([*argv, "--out", str(out)])
         assert code == 2, argv
@@ -117,12 +131,13 @@ def test_out_of_range_flag_exits_2(tmp_path, capsys):
 
 def test_out_of_range_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"domain": "X"}))
     out = tmp_path / "r.json"
-    code = main(["uniform", "--config", str(cfg), "--out", str(out)])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
-    assert not out.exists()
+    for command, values in (("uniform", {"domain": "X"}), ("adr", {"rho_set": []}), ("dbar", {"deltas": []})):
+        cfg.write_text(json.dumps(values))
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert code == 2, values
+        assert "error:" in capsys.readouterr().err, values
+        assert not out.exists(), values
 
 
 def test_python_m_hartogs_matches_main(tmp_path):

@@ -34,6 +34,16 @@ def test_gauss_legendre_properties():
     assert w.sum() == pytest.approx(2.0, abs=1e-14)
 
 
+def test_gauss_legendre_cached_read_only():
+    x, w = gauss_legendre(9)
+    again = gauss_legendre(9)
+    assert again[0] is x and again[1] is w
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert gauss_legendre(10)[0] is not x
+
+
 def test_gauss_legendre_invalid():
     with pytest.raises(ValueError):
         gauss_legendre(0)

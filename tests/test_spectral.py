@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hartogs.checks import poincare_field_check
 from hartogs.quadrature import VOL_T, QuadratureSpec
 from hartogs.spectral import (
+    _lowest_eigenvalues,
     build_mode,
     neumann_spectrum,
     poincare_constant,
@@ -105,6 +106,17 @@ def test_poincare_constant_value_and_stability():
     assert abs(C64 - C96) / C96 < 0.02
     with pytest.raises(ValueError):
         poincare_constant(64, 0)
+
+
+@pytest.mark.parametrize("mode_cut", [1, 2, 3])
+def test_poincare_constant_equals_full_mode_scan(mode_cut):
+    n = 24
+    lam = min(
+        float(_lowest_eigenvalues(build_mode(l, m, n), 2 if (l, m) == (0, 0) else 1)[-1])
+        for l in range(mode_cut + 1)
+        for m in range(mode_cut + 1)
+    )
+    assert poincare_constant(n, mode_cut) == 1.0 / lam
 
 
 def test_poincare_on_random_fields():
