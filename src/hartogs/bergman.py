@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .points import PolarPoint
-from .quadrature import QuadratureSpec, integrate_T, _gl_unit, _angular_nodes, _tensor_values
+from .quadrature import QuadratureSpec, integrate_T, _gl_unit, _angular_nodes, _tensor_slabs
 
 __all__ = [
     "LaurentIndex",
@@ -185,27 +185,32 @@ class LaurentCoefficients:
 def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentCoefficients:
     """Orthogonal projection coefficients a_jk = (f, v_jk) / ||v_jk||^2.
 
-    Evaluates f once on the tensor grid, takes the angular transform onto
-    the block's mode pairs, then reduces radially; identical to the plain
-    quadrature pairing, node for node.  Raises NonFiniteIntegrandError (a
-    ValueError) at the first node where f is nan/inf.
+    Evaluates f once on the tensor grid, one x-slab at a time (memory
+    O(level^3)): each slab gives its angular sums of |f|^2 and its angular
+    transform onto the block's mode pairs, then everything reduces radially;
+    identical to the plain quadrature pairing, node for node.  Raises
+    NonFiniteIntegrandError (a ValueError) at the first node where f is
+    nan/inf.
     """
     idxs = block_indices(jmax, kmax)
     n = spec.level
     xs, wxs = _gl_unit(n)
     ss, wss = _gl_unit(n)
     ang, wang = _angular_nodes(n)
-    vals = _tensor_values(f, xs, ss, ang)
-
-    W = (wxs * xs)[:, None] * (wss * ss**3)[None, :]
-    norm_sq = float(np.sum((np.abs(vals) ** 2).sum(axis=(2, 3)) * W) * wang * wang)
 
     ls = sorted({idx.modes[0] for idx in idxs})
     ms = sorted({idx.modes[1] for idx in idxs})
     El = np.exp(-1j * np.outer(ls, ang)) * wang  # (nl, n)
     Em = np.exp(-1j * np.outer(ms, ang)) * wang
-    # F[l, m, x, s] = sum_ab f(x,s,a,b) e^{-i(l a + m b)} w_a w_b
-    F = np.einsum("xsab,la,mb->lmxs", vals, El, Em, optimize=True)
+    sq = np.empty((n, n))
+    F = np.empty((len(ls), len(ms), n, n), dtype=complex)
+    for rows, vals in _tensor_slabs(f, xs, ss, ang):
+        sq[rows] = (np.abs(vals) ** 2).sum(axis=(2, 3))
+        # F[l, m, x, s] = sum_ab f(x,s,a,b) e^{-i(l a + m b)} w_a w_b
+        F[:, :, rows] = np.einsum("xsab,la,mb->lmxs", vals, El, Em, optimize=True)
+
+    W = (wxs * xs)[:, None] * (wss * ss**3)[None, :]
+    norm_sq = float(np.sum(sq * W) * wang * wang)
     lpos = {l: i for i, l in enumerate(ls)}
     mpos = {m: i for i, m in enumerate(ms)}
 

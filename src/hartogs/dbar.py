@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .points import PolarPoint
-from .quadrature import QuadratureSpec, integrate_T, _gl_unit, _angular_nodes
+from .quadrature import QuadratureSpec, integrate_T, _gl_unit, _angular_nodes, _slabs
 from .bergman import v_eval_arrays
 
 __all__ = [
@@ -234,27 +234,28 @@ class CutoffReport:
     l4_diverges: bool
 
 
-def _shell_nodes(delta: float, nt: int, nth: int, nang: int):
+def _shell_slabs(delta: float, nt: int, nth: int, nang: int):
     """Shared node set on B_{2 delta}(0) cap T in coordinates (t, theta, a, b);
-    (r, s) = (t cos theta, t sin theta), weight t^3 sin cos dt dtheta."""
+    (r, s) = (t cos theta, t sin theta), weight t^3 sin cos dt dtheta.
+
+    Yields (T, R, A, S, B, W) for consecutive t-slabs of at most
+    ``quadrature._SLAB_NODES`` nodes, W broadcast to the slab shape.
+    """
     t, wt = _gl_unit(nt)
     t, wt = 2.0 * delta * t, 2.0 * delta * wt
     th, wth = _gl_unit(nth)
     th, wth = np.pi / 4.0 + th * np.pi / 4.0, wth * np.pi / 4.0
     ang, wang = _angular_nodes(nang)
-    T = t[:, None, None, None]
     TH = th[None, :, None, None]
     A = ang[None, None, :, None]
     B = ang[None, None, None, :]
-    R = T * np.cos(TH)
-    S = T * np.sin(TH)
-    W = (
-        (wt * t**3)[:, None, None, None]
-        * (wth * np.sin(th) * np.cos(th))[None, :, None, None]
-        * wang
-        * wang
-    )
-    return T, R, A, S, B, np.broadcast_to(W, (nt, nth, nang, nang))
+    WTH = (wth * np.sin(th) * np.cos(th))[None, :, None, None]
+    for rows in _slabs(nt, nth * nang * nang):
+        T = t[rows, None, None, None]
+        R = T * np.cos(TH)
+        S = T * np.sin(TH)
+        W = (wt[rows] * t[rows] ** 3)[:, None, None, None] * WTH * wang * wang
+        yield T, R, A, S, B, np.broadcast_to(W, (T.shape[0], nth, nang, nang))
 
 
 def cutoff_commutator_check(
@@ -268,19 +269,23 @@ def cutoff_commutator_check(
     factor sizes.  A refinement probe flags fields whose fourth power fails
     to be integrable (growth > 1% under node doubling); with strict=True
     such fields raise instead of being reported.
+
+    The shell sums run over t-slabs of the node set (see
+    ``quadrature._SLAB_NODES``), so no full shell grid is allocated.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2] so the shell stays in T")
     nt, nth, nang = quad.shell_level, max(16, quad.shell_level // 3), 12
 
     def pieces(nt_, nth_, nang_):
-        T, R, A, S, B, W = _shell_nodes(delta, nt_, nth_, nang_)
-        dchi2 = (smoothstep_deriv((T - delta) / delta) / (2.0 * delta)) ** 2
-        dchi2 = np.broadcast_to(dchi2, W.shape)
-        f2 = np.abs(np.broadcast_to(np.asarray(f(R, A, S, B)), W.shape)) ** 2
-        lhs = float(np.sum(dchi2 * f2 * W))
-        quart = float(np.sum(dchi2**2 * W))
-        fquart = float(np.sum(f2**2 * W))
+        lhs = quart = fquart = 0.0
+        for T, R, A, S, B, W in _shell_slabs(delta, nt_, nth_, nang_):
+            dchi2 = (smoothstep_deriv((T - delta) / delta) / (2.0 * delta)) ** 2
+            dchi2 = np.broadcast_to(dchi2, W.shape)
+            f2 = np.abs(np.broadcast_to(np.asarray(f(R, A, S, B)), W.shape)) ** 2
+            lhs += float(np.sum(dchi2 * f2 * W))
+            quart += float(np.sum(dchi2**2 * W))
+            fquart += float(np.sum(f2**2 * W))
         return lhs, quart, fquart
 
     lhs, quart, fquart = pieces(nt, nth, nang)

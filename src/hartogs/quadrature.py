@@ -19,6 +19,13 @@ Rule layout per axis, all sizes equal to ``QuadratureSpec.level``:
   trigonometric polynomials of degree < level.  This makes angular-mode
   orthogonality an identity of the discrete rule, not a tolerance race.
 
+Memory: the level^4 grid is never held whole.  ``integrate_T`` and
+``bergman.project`` evaluate the integrand on consecutive x-slabs of at most
+``_SLAB_NODES`` nodes and keep only per-(x, s) reductions, so memory is
+O(level^3).  Each slab is evaluated and finite-checked exactly as the whole
+grid would be, row for row, so ``integrate_T`` does not depend on the slab
+size; ``project``'s angular transform may round differently in the last bits.
+
 Randomness: ``sample_T`` rejection-samples the unit bidisk (accept |z| < |w|,
 acceptance rate 1/2) using numpy's default_rng, i.e. the PCG64 generator.
 The generator choice is part of the package contract: changing it changes
@@ -46,6 +53,15 @@ __all__ = [
 
 #: Volume of T: int_T dV = (2 pi)^2 * int_0^1 s^3/2 ds = pi^2 / 2.
 VOL_T = np.pi**2 / 2.0
+
+#: Nodes per slab of a level^4 or shell grid: 2^20 complex values are 16 MB,
+#: four x-rows at level 64.  Over the three level-64 grid calls of the
+#: benchmark's fine_grids workload (2 vCPUs), the traced peak is 602 MB for
+#: the whole grid (2^24 nodes), 48 MB at 2^20 and 24 MB at 2^18; time is
+#: lowest near 2^19-2^20 and rises on both sides (per-slab overhead below).
+#: At 2^20 the peak already sits well under the ~118 MB resident set of the
+#: rest of that workload, so smaller slabs buy nothing end to end.
+_SLAB_NODES = 2**20
 
 
 @dataclass(frozen=True)
@@ -112,21 +128,34 @@ def _angular_nodes(n: int) -> tuple[np.ndarray, float]:
     return nodes, 2.0 * np.pi / n
 
 
-def _tensor_values(f: Callable, xs: np.ndarray, ss: np.ndarray, ang: np.ndarray) -> np.ndarray:
-    """f on the (x, s, alpha, beta) tensor grid, r = x*s, broadcast to full
-    complex shape; NonFiniteIntegrandError names the first nan/inf node."""
-    X = xs[:, None, None, None]
+def _slabs(rows: int, per_row: int):
+    """Consecutive slices of ``rows`` holding at most _SLAB_NODES nodes of
+    ``per_row`` each (at least one row per slice)."""
+    step = max(1, _SLAB_NODES // per_row)
+    for lo in range(0, rows, step):
+        yield slice(lo, min(lo + step, rows))
+
+
+def _tensor_slabs(f: Callable, xs: np.ndarray, ss: np.ndarray, ang: np.ndarray):
+    """Yield (rows, vals): f on consecutive x-slabs of the (x, s, alpha, beta)
+    tensor grid, r = x*s, broadcast to full complex slab shape.
+
+    NonFiniteIntegrandError names the first nan/inf node of the grid.
+    """
     S = ss[None, :, None, None]
     A = ang[None, None, :, None]
     B = ang[None, None, None, :]
-    vals = np.asarray(f(X * S, A, S, B), dtype=complex)
-    vals = np.broadcast_to(vals, (xs.size, ss.size, ang.size, ang.size))
-    finite = np.isfinite(vals)
-    if not finite.all():
-        i, j, k, l = np.argwhere(~finite)[0]
-        node = (float(xs[i] * ss[j]), float(ang[k]), float(ss[j]), float(ang[l]))
-        raise NonFiniteIntegrandError(node, vals[i, j, k, l])
-    return vals
+    for rows in _slabs(xs.size, ss.size * ang.size * ang.size):
+        X = xs[rows, None, None, None]
+        vals = np.asarray(f(X * S, A, S, B), dtype=complex)
+        vals = np.broadcast_to(vals, (X.shape[0], ss.size, ang.size, ang.size))
+        finite = np.isfinite(vals)
+        if not finite.all():
+            i, j, k, l = np.argwhere(~finite)[0]
+            x = xs[rows.start + i]
+            node = (float(x * ss[j]), float(ang[k]), float(ss[j]), float(ang[l]))
+            raise NonFiniteIntegrandError(node, vals[i, j, k, l])
+        yield rows, vals
 
 
 def integrate_T(f: Callable, spec: QuadratureSpec) -> complex:
@@ -138,17 +167,21 @@ def integrate_T(f: Callable, spec: QuadratureSpec) -> complex:
 
     Raises NonFiniteIntegrandError if any sampled value is nan/inf, carrying
     the first offending node.
+
+    f is called once per x-slab (see ``_SLAB_NODES``), so memory is
+    O(level^3); each slab is reduced to its angular sums before the next.
     """
     n = spec.level
     xs, wxs = _gl_unit(n)  # inner radius fraction x = r/s
     ss, wss = _gl_unit(n)  # outer radius s
     ang, wang = _angular_nodes(n)
-    vals = _tensor_values(f, xs, ss, ang)
 
+    # the angular rule has constant weight, so sum angles then weight radially
+    radial = np.empty((n, n), dtype=complex)
+    for rows, vals in _tensor_slabs(f, xs, ss, ang):
+        radial[rows] = np.einsum("ijkl->ij", vals)
     # weight: (x s^3) dx ds dalpha dbeta
     w_rad = (wxs * xs)[:, None] * (wss * ss**3)[None, :]
-    radial = np.einsum("ijkl->ij", vals)  # angular sums first keeps memory flat
-    # the angular rule has constant weight, so sum angles then weight radially
     total = np.sum(radial * w_rad) * wang * wang
     return complex(total)
 

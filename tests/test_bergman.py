@@ -1,8 +1,11 @@
 """Orthogonal Laurent basis, Gram matrix, projection, truncated kernel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hartogs import quadrature
 from hartogs.bergman import (
     LaurentCoefficients,
     LaurentIndex,
@@ -122,6 +125,63 @@ def test_gram_matches_pair_loop(jmax, kmax, level):
     assert idxs == ref_idxs
     assert np.abs(G - ref).max() <= 1e-15 * np.abs(ref).max()
     assert np.array_equal(G, G.conj().T)
+
+
+def project_whole_grid(f, jmax, kmax, spec):
+    """Reference project: the whole level^4 grid at once and one einsum;
+    returns (entries, f_norm_sq)."""
+    idxs = block_indices(jmax, kmax)
+    n = spec.level
+    xs, wxs = _gl_unit(n)
+    ss, wss = _gl_unit(n)
+    ang, wang = _angular_nodes(n)
+    X, S = xs[:, None, None, None], ss[None, :, None, None]
+    A, B = ang[None, None, :, None], ang[None, None, None, :]
+    vals = np.broadcast_to(np.asarray(f(X * S, A, S, B), dtype=complex), (n, n, n, n))
+    W = (wxs * xs)[:, None] * (wss * ss**3)[None, :]
+    norm_sq = float(np.sum((np.abs(vals) ** 2).sum(axis=(2, 3)) * W) * wang * wang)
+    ls = sorted({idx.modes[0] for idx in idxs})
+    ms = sorted({idx.modes[1] for idx in idxs})
+    El = np.exp(-1j * np.outer(ls, ang)) * wang
+    Em = np.exp(-1j * np.outer(ms, ang)) * wang
+    F = np.einsum("xsab,la,mb->lmxs", vals, El, Em, optimize=True)
+    entries = {}
+    for idx in idxs:
+        l, m = idx.modes
+        rad = xs[:, None] ** idx.j * ss[None, :] ** idx.k * W
+        entries[(idx.j, idx.k)] = complex(np.sum(F[ls.index(l), ms.index(m)] * rad)) / v_norm_sq(idx)
+    return entries, norm_sq
+
+
+# (level, rows per slab): several slabs with a ragged last one, and one row per slab
+@pytest.mark.parametrize("level, rows", [(7, 2), (9, 4), (9, 1)])
+def test_project_slabs_match_whole_grid(monkeypatch, level, rows):
+    monkeypatch.setattr(quadrature, "_SLAB_NODES", rows * level**3)
+    spec = QuadratureSpec(level=level)
+    fields = [
+        v_field(LaurentIndex(2, 3)),
+        lambda r, a, s, b: 1.0 / (s * np.exp(1j * b) - 2.0) + r * np.exp(-1j * a),
+        lambda r, a, s, b: np.exp(-(r**2)) * np.cos(3 * a) / (1 + s) + 1j * r * s * np.sin(b - a),
+    ]
+    for f in fields:
+        co = project(f, 3, 3, spec)
+        ref, ref_norm_sq = project_whole_grid(f, 3, 3, spec)
+        assert co.f_norm_sq == ref_norm_sq  # bitwise
+        assert co.entries.keys() == ref.keys()
+        scale = max(abs(v) for v in ref.values())
+        assert scale > 0.1
+        assert max(abs(co.entries[key] - ref[key]) for key in ref) <= 1e-15 * scale
+
+
+def test_project_memory_is_slab_bound():
+    # the whole level-64 grid is 268 MB complex; one slab is 16 MB
+    tracemalloc.start()
+    try:
+        project(v_field(LaurentIndex(2, 3)), 8, 8, QuadratureSpec(level=64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000_000
 
 
 def test_projection_identity_on_basis():

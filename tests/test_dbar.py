@@ -1,10 +1,13 @@
 """The u_delta approximation family and the chi_delta cutoffs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hartogs.bergman import v_eval, LaurentIndex
+from hartogs import quadrature
+from hartogs.bergman import v_eval, v_eval_arrays, LaurentIndex
 from hartogs.dbar import (
     CutoffReport,
     DeltaFamilySpec,
@@ -260,3 +263,27 @@ def test_cutoff_delta_range():
         cutoff_commutator_check(ONE, 0.75, SPEC)  # shell would poke out of T
     with pytest.raises(ValueError):
         cutoff_commutator_check(ONE, 0.0, SPEC)
+
+
+def test_cutoff_slabs_match_one_slab(monkeypatch):
+    spec = QuadratureSpec(level=24, shell_level=24)  # 24 x 16 x 12 x 12 nodes: one slab by default
+    whole = {(f, d): cutoff_commutator_check(f, d, spec) for f in (ONE, WINV) for d in (0.3, 2.0**-6)}
+    monkeypatch.setattr(quadrature, "_SLAB_NODES", 5 * 16 * 12 * 12)  # t-slabs of 5 rows, ragged last
+    for (f, d), ref in whole.items():
+        rep = cutoff_commutator_check(f, d, spec)
+        assert rep.l4_diverges == ref.l4_diverges
+        for name in ("lhs", "rhs", "first_factor", "second_factor"):
+            assert getattr(rep, name) == pytest.approx(getattr(ref, name), rel=1e-14, abs=0.0)
+
+
+def test_cutoff_memory_is_slab_bound():
+    # at shell level 192 the refinement probe alone has 3.5e6 nodes per array
+    spec = QuadratureSpec(shell_level=192)
+    winv = lambda r, a, s, b: v_eval_arrays(0, -1, r, a, s, b)
+    tracemalloc.start()
+    try:
+        cutoff_commutator_check(winv, 2.0**-5, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48_000_000

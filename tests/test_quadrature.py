@@ -1,14 +1,20 @@
 """Tensor quadrature over T and the rejection sampler."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hartogs import quadrature
+from hartogs.bergman import v_eval_arrays
 from hartogs.points import PolarPoint
 from hartogs.quadrature import (
     VOL_T,
     NonFiniteIntegrandError,
     QuadratureSpec,
+    _angular_nodes,
+    _gl_unit,
     gauss_legendre,
     integrate_T,
     sample_T,
@@ -110,6 +116,92 @@ def test_non_finite_integrand(spec24):
 
     with pytest.raises(NonFiniteIntegrandError):
         integrate_T(bad, spec24)
+
+
+def tensor_values_whole(f, xs, ss, ang):
+    """Reference: f on the whole (x, s, alpha, beta) grid at once, r = x*s;
+    NonFiniteIntegrandError names the first nan/inf node."""
+    X = xs[:, None, None, None]
+    S = ss[None, :, None, None]
+    A = ang[None, None, :, None]
+    B = ang[None, None, None, :]
+    vals = np.asarray(f(X * S, A, S, B), dtype=complex)
+    vals = np.broadcast_to(vals, (xs.size, ss.size, ang.size, ang.size))
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i, j, k, l = np.argwhere(~finite)[0]
+        node = (float(xs[i] * ss[j]), float(ang[k]), float(ss[j]), float(ang[l]))
+        raise NonFiniteIntegrandError(node, vals[i, j, k, l])
+    return vals
+
+
+def integrate_T_whole(f, spec):
+    """Reference integrate_T: one whole-grid evaluation, angular sums, radial weights."""
+    n = spec.level
+    xs, wxs = _gl_unit(n)
+    ss, wss = _gl_unit(n)
+    ang, wang = _angular_nodes(n)
+    vals = tensor_values_whole(f, xs, ss, ang)
+    w_rad = (wxs * xs)[:, None] * (wss * ss**3)[None, :]
+    return complex(np.sum(np.einsum("ijkl->ij", vals) * w_rad) * wang * wang)
+
+
+SLAB_FIELDS = [
+    lambda r, a, s, b: np.ones(np.broadcast(r, s).shape),
+    lambda r, a, s, b: 1.0 / s**2,
+    lambda r, a, s, b: np.exp(-(r**2)) * np.cos(3 * a) / (1 + s) + 1j * r * s * np.sin(b - a),
+    lambda r, a, s, b: 1.0 / (s * np.exp(1j * b) - 2.0) + r * np.exp(-1j * a),
+    lambda r, a, s, b: np.abs(v_eval_arrays(2, 3, r, a, s, b)) ** 2,
+]
+
+
+# (level, rows per slab): several slabs with a ragged last one, and one row per slab
+@pytest.mark.parametrize("level, rows", [(7, 2), (9, 4), (9, 1)])
+def test_integrate_T_slabs_match_whole_grid(monkeypatch, level, rows):
+    monkeypatch.setattr(quadrature, "_SLAB_NODES", rows * level**3)
+    spec = QuadratureSpec(level=level)
+    for f in SLAB_FIELDS:
+        calls = []
+
+        def counted(r, a, s, b):
+            calls.append(np.broadcast(r, a, s, b).shape[0])
+            return f(r, a, s, b)
+
+        assert integrate_T(counted, spec) == integrate_T_whole(f, spec)  # bitwise
+        assert calls == [min(rows, level - lo) for lo in range(0, level, rows)]
+
+
+@pytest.mark.parametrize("level, rows", [(7, 2), (9, 4)])
+def test_non_finite_in_last_slab_names_node(monkeypatch, level, rows):
+    monkeypatch.setattr(quadrature, "_SLAB_NODES", rows * level**3)
+    spec = QuadratureSpec(level=level)
+    xs, _ = _gl_unit(level)
+    ss, _ = _gl_unit(level)
+    ang, _ = _angular_nodes(level)
+    node = (float(xs[-1] * ss[2]), float(ang[3]), float(ss[2]), float(ang[level - 2]))
+
+    def bad(r, a, s, b):
+        hit = (r == node[0]) & (a == node[1]) & (s == node[2]) & (b == node[3])
+        return np.where(hit, np.nan, 1.0)
+
+    with pytest.raises(NonFiniteIntegrandError) as slabbed:
+        integrate_T(bad, spec)
+    with pytest.raises(NonFiniteIntegrandError) as whole:
+        integrate_T_whole(bad, spec)
+    assert slabbed.value.node == whole.value.node == node
+    assert np.isnan(slabbed.value.value)
+
+
+def test_integrate_T_memory_is_slab_bound():
+    # the whole level-64 grid is 268 MB complex; one slab is 16 MB
+    f = lambda r, a, s, b: np.abs(v_eval_arrays(3, 5, r, a, s, b)) ** 2
+    tracemalloc.start()
+    try:
+        integrate_T(f, QuadratureSpec(level=64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000_000
 
 
 @settings(max_examples=30, deadline=None)

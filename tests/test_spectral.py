@@ -1,5 +1,11 @@
 """Per-mode Neumann eigenvalue problems, Poincare constant, discrete solver."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -171,3 +177,30 @@ def test_solve_neumann_accepts_vector_source():
     assert u.shape == (prob.size,)
     with pytest.raises(ValueError):
         solve_neumann(np.ones(5), 0, 0, n)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_spectrum_table(tmp_path, *flags):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "spectrum_table.py"), *flags, "--out", str(tmp_path / "s.csv")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_spectrum_table_reads_constant_from_scan(tmp_path):
+    proc = run_spectrum_table(tmp_path, "--grid", "16", "--mode-cut", "1", "--count", "2")
+    assert proc.returncode == 0, proc.stderr
+    C = float(re.search(r"C = (\S+) ", proc.stdout).group(1))
+    assert C == pytest.approx(poincare_constant(16, 1), rel=1e-12)
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 4 * 2
+
+
+@pytest.mark.parametrize("flags", [("--mode-cut", "0"), ("--count", "1")])
+def test_spectrum_table_rejects_sizes_without_constant(tmp_path, flags):
+    proc = run_spectrum_table(tmp_path, *flags)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert not (tmp_path / "s.csv").exists()
