@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hartogs.boundary import adr_scan, f_profile
+from hartogs.boundary import ADR_WINDOW, adr_scan, f_profile
 from hartogs.quadrature import QuadratureSpec
 
 
@@ -53,7 +53,7 @@ def main() -> None:
             writer.writerow([repr(p.r), repr(p.alpha), repr(p.s), repr(p.beta),
                              repr(rho), repr(sig), repr(sig / rho**3)])
     print(f"wrote {out / 'regularity_ratios.csv'}; ratio range "
-          f"[{report.min_ratio:.4f}, {report.max_ratio:.4f}], window {report.window}")
+          f"[{report.min_ratio:.4f}, {report.max_ratio:.4f}], window {ADR_WINDOW}")
 
 
 if __name__ == "__main__":

@@ -50,6 +50,7 @@ from .quadrature import QuadratureSpec
 
 __all__ = [
     "ADRReport",
+    "ADR_WINDOW",
     "SIGMA_BT_TOTAL",
     "DIAM_T",
     "f_profile",
@@ -64,6 +65,7 @@ _BLOCK_ROWS = 64  # r-rows of the (r, alpha) midpoint grid evaluated per block
 
 SIGMA_BT_TOTAL = (4.0 * _SQ2 / 3.0) * np.pi**2 + 2.0 * np.pi**2
 DIAM_T = 2.0 * _SQ2
+ADR_WINDOW = (0.3, 30.0)  # frozen bounds on sigma(B_rho(p) cap bT)/rho^3
 
 
 def _cone_ball(az: float, aw: float, rho: float, r_hi: float | None, n: int) -> float:
@@ -219,7 +221,6 @@ class ADRReport:
     samples: tuple  # of (PolarPoint, rho, sigma)
     min_ratio: float
     max_ratio: float
-    window: tuple[float, float]
     passed: bool
 
     def ratios(self) -> np.ndarray:
@@ -231,13 +232,12 @@ def adr_scan(
     rho_set,
     seed,
     spec: QuadratureSpec,
-    window: tuple[float, float] = (0.3, 30.0),
 ) -> ADRReport:
     """Tabulate boundary-ball ratios over random centers on both strata.
 
     Centers: half uniform in the cone parametrization (r in [0, sqrt 2],
     angles uniform), half uniform on the cylinder (z area-uniform in the
-    unit disk, beta uniform).  pass requires every ratio inside ``window``.
+    unit disk, beta uniform).  pass requires every ratio inside ADR_WINDOW.
     """
     if n_centers < 1:
         raise ValueError("n_centers must be >= 1")
@@ -262,11 +262,9 @@ def adr_scan(
             samples.append((p, rho, sigma_ball_bT(p, rho, spec)))
     ratios = np.array([sig / rho**3 for (_, rho, sig) in samples])
     lo, hi = float(ratios.min()), float(ratios.max())
-    passed = window[0] <= lo and hi <= window[1]
     return ADRReport(
         samples=tuple(samples),
         min_ratio=lo,
         max_ratio=hi,
-        window=(float(window[0]), float(window[1])),
-        passed=bool(passed),
+        passed=ADR_WINDOW[0] <= lo and hi <= ADR_WINDOW[1],
     )

@@ -227,7 +227,7 @@ def _piece_ratios(piece, c1, c2, cap: bool):
     rr, _, ss, _ = piece
     dmin = np.minimum(euclid(*piece, *c1), euclid(*piece, *c2))
     dist_b = dist_boundary(rr, ss, cap)
-    ratio = np.where(dmin > 0.0, dmin / dist_b, 0.0)
+    ratio = np.where(dmin == 0.0, 0.0, dmin / dist_b)
     return float(ratio.max()), float(dist_b.min())
 
 
@@ -253,9 +253,7 @@ def verify_uniform(domain: str, n_pairs: int, n_curve_samples: int = 256, seed=0
     if not use_cap:
         r, s = 2.0 * r, 2.0 * s
 
-    max_len = 0.0
-    max_ratio = 0.0
-    min_bdist = np.inf
+    lengths, ratios, bdists = [], [], []
     t = np.linspace(0.0, 1.0, n_curve_samples)
     chunk = max(1, min(n_pairs, 2_000_000 // n_curve_samples))
     for lo in range(0, n_pairs, chunk):
@@ -264,11 +262,12 @@ def verify_uniform(domain: str, n_pairs: int, n_curve_samples: int = 256, seed=0
         c1 = tuple(x[lo:hi, None] for x in (r, a, s, b))
         c2 = tuple(x[n_pairs + lo : n_pairs + hi, None] for x in (r, a, s, b))
         d, arc = _arc(c1, c2, use_cap)
-        max_len = max(max_len, float((sum(_length(c1, c2, arc)) / d).max()))
+        lengths.append((sum(_length(c1, c2, arc)) / d).max())
         for piece in _pieces(c1, c2, arc, t):
             ratio, bdist = _piece_ratios(piece, c1, c2, use_cap)
-            max_ratio = max(max_ratio, ratio)
-            min_bdist = min(min_bdist, bdist)
+            ratios.append(ratio)
+            bdists.append(bdist)
+    max_len, max_ratio, min_bdist = float(np.max(lengths)), float(np.max(ratios)), float(np.min(bdists))
 
     passed = max_len <= bound and max_ratio <= bound
     return UniformityReport(

@@ -144,11 +144,7 @@ def _lowest_eigenvalues(problem: ModeProblem, count: int) -> np.ndarray:
         raise EigenSolverError(
             f"eigensolver failed for mode ({problem.l},{problem.m}) at n={problem.n}: {exc}"
         ) from exc
-    vals = np.sort(np.real(vals))
-    # clamp roundoff-negative zero modes, never genuine negatives
-    tiny = vals > -1e-8
-    vals[tiny & (vals < 0.0)] = 0.0
-    return vals
+    return np.sort(np.real(vals))
 
 
 def neumann_spectrum(l: int, m: int, n: int, count: int) -> SpectrumResult:
@@ -188,7 +184,12 @@ def solve_neumann(f, l: int, m: int, n: int, demean: bool = True) -> np.ndarray:
     mean zero via a Lagrange multiplier; with demean=False, data with a
     nonzero mean makes the singular system inconsistent and raises.
     """
-    problem = build_mode(l, m, n)
+    return _solve_mode(build_mode(l, m, n), f, demean)
+
+
+def _solve_mode(problem: ModeProblem, f, demean: bool = True) -> np.ndarray:
+    """:func:`solve_neumann` on an assembled mode problem."""
+    l, m, n = problem.l, problem.m, problem.n
     if callable(f):
         fhat = np.asarray(f(problem.r_centers, problem.s_centers), dtype=float)
         fhat = np.broadcast_to(fhat, (problem.size,)).copy()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hartogs.boundary import (
+    ADR_WINDOW,
     DIAM_T,
     SIGMA_BT_TOTAL,
     _cone_ball,
@@ -150,7 +151,7 @@ def test_adr_scan_window_and_determinism():
     rep2 = adr_scan(10, rho_set, seed=11, spec=SPEC)
     assert rep1.min_ratio == rep2.min_ratio and rep1.max_ratio == rep2.max_ratio
     assert rep1.passed
-    assert rep1.window[0] <= rep1.min_ratio <= rep1.max_ratio <= rep1.window[1]
+    assert ADR_WINDOW[0] <= rep1.min_ratio <= rep1.max_ratio <= ADR_WINDOW[1]
     assert len(rep1.samples) == 10 * len(rho_set)
     assert np.all(rep1.ratios() > 0)
 

@@ -1,0 +1,196 @@
+"""The gate table of the check battery: ids, comparisons, pinned values, NaN.
+
+Every verdict of the report comes from ``GATES``.  These tests pin each
+gate, probe each comparison at its boundary, and inject one NaN into each
+worst-case reduction to show that it turns its row to FAIL.
+"""
+
+import dataclasses
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from hartogs import bergman, boundary, checks, dbar, geometry, spectral
+from hartogs.checks import GATES, Gate, RunParams, poincare_field_check, run_command
+from hartogs.quadrature import QuadratureSpec
+
+SMALL = RunParams(
+    level=8, surface_cells=128, shell_level=48, pairs=20, curve_samples=8, polar_pairs=1000, centers=2,
+    dilation_cases=3, jmax=2, kmax=2, grid=24, count=2, poincare_grid=8, n_fields=3,
+)
+
+# (comparison, expected, tolerance) of every check, as the report states them
+PINNED = {
+    "uniform.cone.length": ("le", 11.283185307179586, 0.0),
+    "uniform.cone.cigar": ("le", 11.283185307179586, 0.0),
+    "uniform.cone.containment": ("gt", 0.0, 0.0),
+    "uniform.triangle.length": ("le", 79.73857507077896, 0.0),
+    "uniform.triangle.cigar": ("le", 79.73857507077896, 0.0),
+    "uniform.triangle.containment": ("gt", 0.0, 0.0),
+    "uniform.polar_bound": ("le", 1.0, 0.0),
+    "adr.profile.origin": ("rel", 6.579736267392906, 0.0001),
+    "adr.profile.limit": ("rel", 4.1887902047863905, 0.01),
+    "adr.dilation": ("abs", 0.0, 0.01),
+    "adr.total": ("rel", 38.34951333454906, 0.001),
+    "adr.scan.min": ("ge", 0.3, 0.0),
+    "adr.scan.max": ("le", 30.0, 0.0),
+    "adr.scan.refinement": ("le", 16.0, 0.0),
+    "bergman.orthogonality": ("abs", 0.0, 1e-08),
+    "bergman.norms": ("abs", 0.0, 1e-06),
+    "bergman.projection.identity": ("abs", 0.0, 1e-06),
+    "bergman.projection.antiholo": ("abs", 0.0, 1e-08),
+    "bergman.kernel.hermitian": ("abs", 0.0, 1e-12),
+    "dbar.norm.anchor": ("rel", 1.5707963267948966, 1e-09),
+    "dbar.scaling": ("abs", 0.0, 1e-06),
+    "dbar.gap.monotone": ("lt", 1.0, 0.0),
+    "dbar.gap.decay": ("lt", 0.1, 0.0),
+    "dbar.cutoff.gradbound": ("le", 1.875, 1e-09),
+    "dbar.cutoff.cs": ("le", 1.0, 0.0),
+    "dbar.cutoff.firstfactor": ("abs", 0.0, 0.1),
+    "dbar.cutoff.decay.smooth": ("rel", 0.00390625, 0.05),
+    "dbar.cutoff.borderline": ("abs", 0.0, 1e-06),
+    "spectrum.zero": ("abs", 0.0, 1e-08),
+    "spectrum.kernel": ("gt", 1.0, 0.0),
+    "spectrum.gap.stability": ("abs", 0.0, 0.01),
+    "spectrum.poincare": ("le", 1.0, 0.1),
+    "spectrum.galerkin": ("abs", 0.0, 1e-06),
+}
+
+
+@pytest.fixture(scope="module")
+def small_rows():
+    return {row.check_id: row for row in run_command("all", SMALL)}
+
+
+def test_gate_keys_are_the_report_ids(small_rows):
+    ids = [row.check_id for row in run_command("all", SMALL)]
+    assert len(ids) == 33 and len(set(ids)) == 33
+    assert list(GATES) == ids
+    assert set(small_rows) == set(GATES)
+
+
+def test_gates_are_pinned():
+    got = {check_id: (g.comparison, g.expected, g.tolerance) for check_id, g in GATES.items()}
+    assert got == PINNED
+    assert all(type(g.expected) is float and type(g.tolerance) is float for g in GATES.values())
+    assert boundary.ADR_WINDOW == (0.3, 30.0)
+
+
+def test_rows_carry_their_gate(small_rows):
+    for check_id, row in small_rows.items():
+        gate = GATES[check_id]
+        assert (row.claim, row.expected, row.tolerance) == (gate.claim, gate.expected, gate.tolerance)
+        assert row.passed == gate.passes(row.observed)
+
+
+def _below(x):
+    return float(np.nextafter(x, -np.inf))
+
+
+def _above(x):
+    return float(np.nextafter(x, np.inf))
+
+
+# comparison, expected, tolerance, boundary value, verdicts just below / on / just above it
+BOUNDARIES = [
+    ("rel", 2.0, 0.25, 2.5, (True, True, False)),
+    ("rel", 2.0, 0.25, 1.5, (False, True, True)),
+    ("abs", 2.0, 0.5, 2.5, (True, True, False)),
+    ("abs", 2.0, 0.5, 1.5, (False, True, True)),
+    ("le", 1.0, 0.5, 1.5, (True, True, False)),
+    ("lt", 1.0, 0.0, 1.0, (True, False, False)),
+    ("ge", 1.0, 0.0, 1.0, (False, True, True)),
+    ("gt", 1.0, 0.0, 1.0, (False, False, True)),
+]
+
+
+@pytest.mark.parametrize("comparison, expected, tolerance, edge, verdicts", BOUNDARIES)
+def test_comparison_at_its_boundary(comparison, expected, tolerance, edge, verdicts):
+    gate = Gate("claim", comparison, expected, tolerance)
+    assert tuple(gate.passes(x) for x in (_below(edge), edge, _above(edge))) == verdicts
+    assert gate.passes(math.nan) is False
+
+
+def test_unknown_comparison_is_rejected():
+    with pytest.raises(KeyError):
+        Gate("claim", "approx", 1.0, 0.1).passes(1.0)
+
+
+def _spoil_call(monkeypatch, module, name, nth, spoil):
+    """Make the nth call (0-based) of module.name return spoil(its result)."""
+    original = getattr(module, name)
+    calls = itertools.count()
+
+    def wrapped(*args, **kwargs):
+        result = original(*args, **kwargs)
+        return spoil(result) if next(calls) == nth else result
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+def _nan(_):
+    return math.nan
+
+
+def _nan_second_entry(coeffs):
+    key = list(coeffs.entries)[1]
+    return dataclasses.replace(coeffs, entries={**coeffs.entries, key: complex(math.nan)})
+
+
+def _nan_first_node(values):
+    values = np.array(values, dtype=float)
+    values[0] = math.nan
+    return values
+
+
+# battery, module, function, 0-based call, spoil, rows that must FAIL
+NAN_CASES = [
+    ("uniform", geometry, "_length", 0, lambda parts: (parts[0] * math.nan, *parts[1:]), ["uniform.cone.length"]),
+    # three pieces per curve chunk: call 1 is the arc of the cone's curves
+    ("uniform", geometry, "dist_boundary", 1, _nan_first_node, ["uniform.cone.cigar", "uniform.cone.containment"]),
+    ("uniform", geometry, "polar_lhs_arrays", 0, _nan_first_node, ["uniform.polar_bound"]),
+    ("adr", boundary, "sigma_ball_Tinf_direct", 1, _nan, ["adr.dilation"]),
+    ("adr", boundary, "sigma_ball_bT", 3, _nan, ["adr.scan.refinement"]),
+    ("bergman", bergman, "project", 0, _nan_second_entry, ["bergman.projection.identity"]),
+    ("bergman", bergman, "project", 1, _nan_second_entry, ["bergman.projection.antiholo"]),
+    ("bergman", bergman, "kernel_truncated", 5, lambda k: complex(math.nan), ["bergman.kernel.hermitian"]),
+    ("dbar", dbar, "dbar_u_delta_norm", 2, _nan, ["dbar.scaling"]),
+    ("dbar", dbar, "l2_gap", 3, _nan, ["dbar.gap.monotone"]),
+    # calls alternate the fields one, winv per delta: call 3 is winv, call 2 is one, at delta 2^-3
+    ("dbar", dbar, "cutoff_commutator_check", 3, lambda rep: dataclasses.replace(rep, lhs=math.nan),
+     ["dbar.cutoff.cs", "dbar.cutoff.borderline"]),
+    ("dbar", dbar, "cutoff_commutator_check", 2, lambda rep: dataclasses.replace(rep, first_factor=math.nan),
+     ["dbar.cutoff.firstfactor"]),
+    # integrate_T calls per field: mean, variance, energy; call 5 is the second field's energy
+    ("spectrum", checks, "integrate_T", 5, _nan, ["spectrum.poincare"]),
+]
+
+
+@pytest.mark.parametrize("battery, module, name, nth, spoil, failing", NAN_CASES,
+                         ids=[f"{c[2]}-{c[3]}" for c in NAN_CASES])
+def test_one_nan_case_fails_its_row(monkeypatch, small_rows, battery, module, name, nth, spoil, failing):
+    assert all(small_rows[check_id].passed for check_id in failing)
+    _spoil_call(monkeypatch, module, name, nth, spoil)
+    rows = {row.check_id: row for row in run_command(battery, SMALL)}
+    assert [check_id for check_id in failing if rows[check_id].passed] == []
+
+
+def test_nan_galerkin_source_fails(monkeypatch, small_rows):
+    assert small_rows["spectrum.galerkin"].passed
+    original = spectral.build_mode
+
+    def build_mode(l, m, n):
+        problem = original(l, m, n)
+        return dataclasses.replace(problem, r_centers=_nan_first_node(problem.r_centers))
+
+    monkeypatch.setattr(spectral, "build_mode", build_mode)
+    rows = {row.check_id: row for row in run_command("spectrum", SMALL)}
+    assert not rows["spectrum.galerkin"].passed
+
+
+def test_poincare_check_fails_on_nan_energy(monkeypatch):
+    _spoil_call(monkeypatch, checks, "integrate_T", 2, _nan)
+    worst, ok = poincare_field_check(0.5, 1, 3, seed=5, spec=QuadratureSpec(level=8))
+    assert math.isnan(worst) and ok is False
