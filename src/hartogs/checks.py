@@ -156,7 +156,6 @@ class RunParams:
     shell_level: int = 96
     domain: str = "both"
     pairs: int = 2_000
-    curve_samples: int = 256
     polar_pairs: int = 200_000
     centers: int = 16
     rho_set: tuple = (0.01, 0.1, 0.5, 1.0, 2.0)
@@ -174,7 +173,7 @@ class RunParams:
         if self.domain not in ("T", "T_infinity", "both"):
             raise ValueError(f"domain must be 'T', 'T_infinity' or 'both', got {self.domain!r}")
         for name, least in (
-            ("seed", 0), ("pairs", 1), ("curve_samples", 2), ("polar_pairs", 1), ("centers", 1),
+            ("seed", 0), ("pairs", 1), ("polar_pairs", 1), ("centers", 1),
             ("dilation_cases", 1), ("jmax", 0), ("kmax", -1), ("grid", 8), ("count", 1), ("mode_cut", 1),
             ("poincare_grid", 8), ("n_fields", 1),
         ):
@@ -201,8 +200,8 @@ def run_uniform(params: RunParams) -> list[CheckRow]:
     for domain, key in (("T_infinity", "cone"), ("T", "triangle")):
         if params.domain != "both" and domain != params.domain:
             continue
-        rep = geometry.verify_uniform(domain, params.pairs, params.curve_samples, seed=params.seed)
-        base = {"domain": domain, "pairs": params.pairs, "curve_samples": params.curve_samples, "seed": params.seed}
+        rep = geometry.certify_uniform(domain, params.pairs, seed=params.seed)
+        base = {"domain": domain, "pairs": params.pairs, "seed": params.seed}
         rows.append(_row(f"uniform.{key}.length", base, rep.max_length_ratio))
         rows.append(_row(f"uniform.{key}.cigar", base, rep.max_dist_ratio))
         rows.append(_row(f"uniform.{key}.containment", base, rep.min_boundary_dist))

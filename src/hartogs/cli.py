@@ -29,7 +29,6 @@ _OPTIONS = {
     "--shell-level": ("shell_level", dict(type=int, help="nodes for shell and profile quadrature")),
     "--domain": ("domain", dict(choices=("T", "T_infinity", "both"), help="domain for the uniform battery")),
     "--pairs": ("pairs", dict(type=int, help="random endpoint pairs for curve verification")),
-    "--curve-samples": ("curve_samples", dict(type=int, help="sample points per curve piece")),
     "--polar-pairs": ("polar_pairs", dict(type=int, help="random pairs for the polar distance bound")),
     "--centers": ("centers", dict(type=int, help="random boundary centers for the regularity scan")),
     "--rho-set": ("rho_set", dict(type=str, help="comma-separated ball radii for the regularity scan")),

@@ -30,12 +30,32 @@ The companion polar estimate used by the length bound:
 
     |r1-r2| + |s1-s2| + min(r1,r2)|a1-a2| + min(s1,s2)|b1-b2| <= 3 |p1-p2|
 
-whenever |a1-a2|, |b1-b2| <= pi.
+whenever |a1-a2|, |b1-b2| <= pi; the sharp constant is pi/sqrt 2 in place
+of 3 (see ``polar_lhs_arrays``).
+
+``certify_uniform`` computes the three values of each curve exactly, a few
+evaluations per pair:
+
+* length: the closed form of ``_length``;
+* cigar supremum: each segment is a straight line in C^2 (its angles are
+  fixed).  The distance to its own endpoint is tL and the distance to the
+  other endpoint sqrt(C + Bt + L^2 t^2); the two meet only at t* = -C/B.
+  Each distance over the boundary distance is quasiconvex (a convex
+  function over a positive concave one: affine on T_inf, the minimum of two
+  affine functions on T), so the maximum lies at t in {0, t*, 1}.  On the
+  arc the boundary distance is constant, the distance to p1 nondecreasing
+  and the distance to p2 nonincreasing, so the maximum is at their
+  crossing, bracketed by bisection and reported as an upper bound;
+* containment: the boundary distance is concave on the segments and
+  constant on the arc, so its minimum lies at p1, q1, q2 or p2.
+
+``verify_uniform`` samples each piece at equispaced parameters instead: a
+lower estimate of the cigar supremum, kept as the independent comparison.
 
 Each formula has one array implementation (``dist_boundary``,
 ``polar_lhs_arrays`` and the curve helpers ``_arc``, ``_length``,
-``_pieces``), shared by ``verify_uniform``; the point-level functions and
-the ``Curve`` methods are scalar views on it.
+``_pieces``), shared by ``certify_uniform`` and ``verify_uniform``; the
+point-level functions and the ``Curve`` methods are scalar views on it.
 """
 
 from __future__ import annotations
@@ -59,6 +79,7 @@ __all__ = [
     "polar_lhs",
     "connect_Tinf",
     "connect_T",
+    "certify_uniform",
     "verify_uniform",
 ]
 
@@ -91,7 +112,25 @@ def dist_bT(p: PolarPoint) -> float:
 def polar_lhs_arrays(r1, a1, s1, b1, r2, a2, s2, b2):
     """Polar upper-bound functional on broadcastable arrays; <= 3 |p1 - p2|.
 
-    Angle differences are wrapped to (-pi, pi] before use.
+    Angle differences are wrapped to (-pi, pi] before use.  The sharp bound
+    is lhs <= (pi/sqrt 2) |p1 - p2|, so sup lhs / (3 |p1 - p2|) =
+    pi/(3 sqrt 2) = 0.7404804897, from a one-coordinate lemma:
+
+        |r1 - r2| + min(r1, r2) |da| <= (pi/2) |z1 - z2|,   |da| <= pi.
+
+    Proof.  Let r1 <= r2, h = r2 - r1, phi = |da|/2 in [0, pi/2] and
+    z' = r1 e^{i a2}.  The chord a = |z1 - z'| = 2 r1 sin(phi) meets the
+    radial segment b = |z' - z2| = h at z' at the angle pi/2 + phi, so
+    |z1 - z2|^2 = a^2 + b^2 + 2ab sin(phi).  The arc r1 |da| is k a with
+    k = phi/sin(phi) in [1, pi/2].  We need (b + k a)^2 <= (pi^2/4)|z1 - z2|^2.
+    Since k^2 <= pi^2/4 and, by AM-GM, (pi^2/4 - 1) b^2 + (pi^2/4 - k^2) a^2
+    >= 2 m ab with m = sqrt((pi^2/4 - 1)(pi^2/4 - k^2)), it suffices that
+    k <= m + (pi^2/4) sin(phi).  For phi >= 1, sin(phi) >= 2 phi/pi gives
+    (pi^2/4) sin(phi) >= pi/2 >= k.  For phi < 1, k <= 1/sin(1) < 1.19, so
+    m > sqrt(1.4674 * 1.0513) > 1.24 > k.  Equality holds at h = 0,
+    |da| = pi.  Adding the z and w lemmas and |z1-z2| + |w1-w2| <=
+    sqrt 2 |p1 - p2| gives the sharp bound, attained at r1 = r2 = s1 = s2
+    with |da| = |db| = pi.
     """
     da = np.abs(angle_diff(a1, a2))
     db = np.abs(angle_diff(b1, b2))
@@ -210,7 +249,7 @@ def connect_T(p1: PolarPoint, p2: PolarPoint) -> Curve:
 class UniformityReport:
     domain: str
     n_pairs: int
-    n_curve_samples: int
+    n_curve_samples: int | None  # None for the exact suprema of certify_uniform
     max_length_ratio: float
     max_dist_ratio: float
     min_boundary_dist: float
@@ -218,8 +257,105 @@ class UniformityReport:
     passed: bool
 
 
+def _endpoints(domain: str, n_pairs: int, seed):
+    """The seeded pairs of a uniformity run: (c1, c2, cap, bound).
+
+    c1 and c2 are (r, alpha, s, beta) tuples of (n_pairs,) arrays.  Pairs are
+    drawn uniformly on T, and for the cone additionally dilated by 2 (uniform
+    on T_inf intersected with {|w| < 2}); the cone's ratios are
+    dilation-invariant, so the window is only a parametrization choice.
+    """
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be >= 1")
+    if domain not in ("T", "T_infinity"):
+        raise ValueError(f"unknown domain {domain!r}")
+    cap = domain == "T"
+    r, a, s, b = sample_T_arrays(2 * n_pairs, seed)
+    if not cap:
+        r, s = 2.0 * r, 2.0 * s
+    c1 = tuple(x[:n_pairs] for x in (r, a, s, b))
+    c2 = tuple(x[n_pairs:] for x in (r, a, s, b))
+    return c1, c2, cap, (C_T if cap else C_TINF)
+
+
+def _report(domain: str, n_curve_samples, bound: float, length, cigar, bdist) -> UniformityReport:
+    max_len, max_ratio = float(np.max(length)), float(np.max(cigar))
+    return UniformityReport(
+        domain=domain,
+        n_pairs=int(np.size(length)),
+        n_curve_samples=n_curve_samples,
+        max_length_ratio=max_len,
+        max_dist_ratio=max_ratio,
+        min_boundary_dist=float(np.min(bdist)),
+        constant_bound=float(bound),
+        passed=bool(max_len <= bound and max_ratio <= bound),
+    )
+
+
+def _segment_sup(near, far, arc, d, cap: bool):
+    """Cigar maximum on the segment from endpoint ``near`` to its arc end q.
+
+    At parameter t the distance to ``near`` is t L and the squared distance
+    to ``far`` is C + B t + L^2 t^2, with C = d^2 and B = 2 Re<near - far,
+    q - near>; the two are equal only at t* = -C/B.  Each ratio is
+    quasiconvex on its side of t*, so the maximum is at t* or t = 1 (t = 0
+    gives 0).
+    """
+    (rn, an, sn, bn), (rf, af, sf, bf), (R, S, _, _) = near, far, arc
+    dr, ds = R - rn, S - sn
+    L2 = dr * dr + ds * ds
+    # Re<near - far, e^{i an}> = rn - rf cos(an - af), without cancellation
+    B = 2.0 * (dr * (rn - rf + 2.0 * rf * np.sin(0.5 * (an - af)) ** 2)
+               + ds * (sn - sf + 2.0 * sf * np.sin(0.5 * (bn - bf)) ** 2))
+    C = d * d
+    t_star = np.divide(C, -B, out=np.ones_like(B), where=B < 0.0)  # B >= 0: far is never nearer
+    t = np.stack([np.minimum(t_star, 1.0), np.ones_like(t_star)])
+    dmin = np.minimum(t * np.sqrt(L2), np.sqrt(np.maximum(C + t * (B + t * L2), 0.0)))
+    return np.max(dmin / dist_boundary(rn + t * dr, sn + t * ds, cap), axis=0)
+
+
+def _arc_sup(c1, c2, arc, cap: bool):
+    """Upper bound on the cigar maximum over the arc, and its boundary distance.
+
+    The distance to p1 is nondecreasing along the arc and the distance to p2
+    nonincreasing, because every angle moves by t * delta with |delta| <= pi.
+    Bisection keeps d1 < d2 left of lo and d1 >= d2 right of hi, so every
+    arc point has min(d1, d2) <= min(d1(hi), d2(lo)), which exceeds the
+    maximum by at most the Lipschitz bound over a 2^-60 bracket.
+    """
+    R, S, dal, dbe = arc
+    a1, b1 = c1[1], c1[3]
+
+    def at(t):
+        return R, a1 + t * dal, S, b1 + t * dbe
+
+    lo, hi = np.zeros_like(R), np.ones_like(R)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        left = euclid(*at(mid), *c1) < euclid(*at(mid), *c2)
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    bd = dist_boundary(R, S, cap)
+    return np.minimum(euclid(*at(hi), *c1), euclid(*at(lo), *c2)) / bd, bd
+
+
+def _exact_suprema(c1, c2, cap: bool):
+    """Per-pair length ratio, cigar supremum and minimum boundary distance.
+
+    c1, c2 are endpoint tuples of (pairs,) arrays.  The boundary distance is
+    concave along each segment and constant on the arc, so its minimum lies
+    at p1, p2 or the arc radii (R, S) of q1 and q2.
+    """
+    d, arc = _arc(c1, c2, cap)
+    length = sum(_length(c1, c2, arc)) / d
+    seg1 = _segment_sup(c1, c2, arc, d, cap)
+    on_arc, arc_bd = _arc_sup(c1, c2, arc, cap)
+    seg2 = _segment_sup(c2, c1, arc, d, cap)
+    ends = dist_boundary(np.stack([c1[0], c2[0]]), np.stack([c1[2], c2[2]]), cap)
+    return length, np.max([seg1, on_arc, seg2], axis=0), np.minimum(arc_bd, np.min(ends, axis=0))
+
+
 def _piece_ratios(piece, c1, c2, cap: bool):
-    """Max cigar ratio and min boundary distance over one sampled piece.
+    """Per-pair max cigar ratio and min boundary distance over one sampled piece.
 
     A function of its own so that the piece's (pairs, samples) temporaries
     are freed before the next piece is built.
@@ -228,55 +364,45 @@ def _piece_ratios(piece, c1, c2, cap: bool):
     dmin = np.minimum(euclid(*piece, *c1), euclid(*piece, *c2))
     dist_b = dist_boundary(rr, ss, cap)
     ratio = np.where(dmin == 0.0, 0.0, dmin / dist_b)
-    return float(ratio.max()), float(dist_b.min())
+    return np.max(ratio, axis=-1), np.min(dist_b, axis=-1)
+
+
+def _sampled_suprema(c1, c2, cap: bool, n_samples: int):
+    """The values of :func:`_exact_suprema` from n_samples equispaced
+    parameters per piece: the cigar maximum from below, the boundary
+    distance minimum from above."""
+    c1, c2 = (tuple(x[:, None] for x in c) for c in (c1, c2))  # (pairs, 1) against (samples,)
+    d, arc = _arc(c1, c2, cap)
+    length = sum(_length(c1, c2, arc)) / d
+    pieces = _pieces(c1, c2, arc, np.linspace(0.0, 1.0, n_samples))
+    ratios, bdists = zip(*(_piece_ratios(piece, c1, c2, cap) for piece in pieces))
+    return length[:, 0], np.max(ratios, axis=0), np.min(bdists, axis=0)
+
+
+def certify_uniform(domain: str, n_pairs: int, seed=0) -> UniformityReport:
+    """Exact suprema of both uniformity ratios over seeded point pairs.
+
+    domain: "T" or "T_infinity"; the pairs are those of
+    :func:`verify_uniform` at the same seed.  The cigar value is an upper
+    bound on each curve's supremum, tight to rounding.
+    """
+    c1, c2, cap, bound = _endpoints(domain, n_pairs, seed)
+    return _report(domain, None, bound, *_exact_suprema(c1, c2, cap))
 
 
 def verify_uniform(domain: str, n_pairs: int, n_curve_samples: int = 256, seed=0) -> UniformityReport:
-    """Sample point pairs, build curves, certify both uniformity ratios.
+    """Sampled lower estimate of the suprema that :func:`certify_uniform`
+    computes exactly, from n_curve_samples equispaced parameters per piece.
 
-    domain: "T" or "T_infinity".  Pairs are drawn uniformly on T, and for the
-    cone additionally dilated by 2 (uniform on T_inf intersected with
-    {|w| < 2}); the cone's ratios are dilation-invariant, so the window is
-    only a parametrization choice.  Suprema are estimated from below by
-    n_curve_samples equispaced parameters per piece.
+    domain: "T" or "T_infinity".  Kept as the independent comparison for the
+    exact values.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
     if n_curve_samples < 2:
         raise ValueError("n_curve_samples must be >= 2")
-    if domain not in ("T", "T_infinity"):
-        raise ValueError(f"unknown domain {domain!r}")
-    use_cap = domain == "T"
-    bound = C_T if use_cap else C_TINF
-
-    r, a, s, b = sample_T_arrays(2 * n_pairs, seed)
-    if not use_cap:
-        r, s = 2.0 * r, 2.0 * s
-
-    lengths, ratios, bdists = [], [], []
-    t = np.linspace(0.0, 1.0, n_curve_samples)
-    chunk = max(1, min(n_pairs, 2_000_000 // n_curve_samples))
-    for lo in range(0, n_pairs, chunk):
-        hi = min(lo + chunk, n_pairs)
-        # endpoints as (pairs, 1) columns against the (samples,) parameters
-        c1 = tuple(x[lo:hi, None] for x in (r, a, s, b))
-        c2 = tuple(x[n_pairs + lo : n_pairs + hi, None] for x in (r, a, s, b))
-        d, arc = _arc(c1, c2, use_cap)
-        lengths.append((sum(_length(c1, c2, arc)) / d).max())
-        for piece in _pieces(c1, c2, arc, t):
-            ratio, bdist = _piece_ratios(piece, c1, c2, use_cap)
-            ratios.append(ratio)
-            bdists.append(bdist)
-    max_len, max_ratio, min_bdist = float(np.max(lengths)), float(np.max(ratios)), float(np.min(bdists))
-
-    passed = max_len <= bound and max_ratio <= bound
-    return UniformityReport(
-        domain=domain,
-        n_pairs=n_pairs,
-        n_curve_samples=n_curve_samples,
-        max_length_ratio=max_len,
-        max_dist_ratio=max_ratio,
-        min_boundary_dist=float(min_bdist),
-        constant_bound=float(bound),
-        passed=bool(passed),
-    )
+    c1, c2, cap, bound = _endpoints(domain, n_pairs, seed)
+    chunk = max(1, 2_000_000 // n_curve_samples)
+    parts = [
+        _sampled_suprema(*(tuple(x[lo : lo + chunk] for x in c) for c in (c1, c2)), cap, n_curve_samples)
+        for lo in range(0, n_pairs, chunk)
+    ]
+    return _report(domain, n_curve_samples, bound, *(np.concatenate(values) for values in zip(*parts)))

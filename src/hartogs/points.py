@@ -43,11 +43,14 @@ def angle_diff(a, b):
 def euclid(r1, a1, s1, b1, r2, a2, s2, b2):
     """Euclidean distance in C^2 between polar points, on broadcastable arrays.
 
-    |z1 - z2|^2 = r1^2 + r2^2 - 2 r1 r2 cos(a1 - a2), same in w.
+    |z1 - z2|^2 = (r1 - r2)^2 + 4 r1 r2 sin^2((a1 - a2)/2), same in w.  Both
+    terms are nonnegative, so nearby points keep full relative precision;
+    the law-of-cosines form r1^2 + r2^2 - 2 r1 r2 cos(a1 - a2) cancels to 0
+    for z1 = 1, z2 = e^{7.6e-9 i}.
     """
-    dz2 = r1**2 + r2**2 - 2.0 * r1 * r2 * np.cos(a1 - a2)
-    dw2 = s1**2 + s2**2 - 2.0 * s1 * s2 * np.cos(b1 - b2)
-    return np.sqrt(np.maximum(dz2, 0.0) + np.maximum(dw2, 0.0))
+    dz2 = (r1 - r2) ** 2 + 4.0 * r1 * r2 * np.sin(0.5 * (a1 - a2)) ** 2
+    dw2 = (s1 - s2) ** 2 + 4.0 * s1 * s2 * np.sin(0.5 * (b1 - b2)) ** 2
+    return np.sqrt(dz2 + dw2)
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,7 @@ def _solve_mode(problem: ModeProblem, f, demean: bool = True) -> np.ndarray:
     # absolute floor keeps a numerically-zero right-hand side (e.g. demeaned
     # constant data) from turning roundoff into a spurious relative failure
     scale = float(np.linalg.norm(M @ fhat))
-    if residual > 1e-8 * scale + 1e-12:
+    if not residual <= 1e-8 * scale + 1e-12:  # a NaN residual fails too
         raise EigenSolverError(
             f"solver residual {residual:.3e} exceeds 1e-8 relative for mode ({l},{m})"
         )

@@ -10,8 +10,8 @@ import pytest
 from hartogs.quadrature import QuadratureSpec
 
 CRITERION_LABELS = {
-    "test_criterion_01_cone_uniformity": "1. cone uniformity: both curve ratios <= 12 on 10^4 pairs",
-    "test_criterion_02_triangle_uniformity": "2. T uniformity: both curve ratios <= 80 on 10^4 pairs",
+    "test_criterion_01_cone_uniformity": "1. cone uniformity: both curve ratios <= 12 on 10^4 pairs, sampled and exact",
+    "test_criterion_02_triangle_uniformity": "2. T uniformity: both curve ratios <= 80 on 10^4 pairs, sampled and exact",
     "test_criterion_03_polar_distance": "3. polar distance bound: LHS <= 3|p1-p2| on 10^6 pairs",
     "test_criterion_04_boundary_profile": "4. boundary profile: f(0)=2pi^2/3 (1e-4), f(200)=4pi/3 (1%)",
     "test_criterion_05_dilation_law": "5. dilation law sigma = rho^3 f(|p|/rho) on 100 draws (1%)",

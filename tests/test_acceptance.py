@@ -39,7 +39,7 @@ from hartogs.dbar import (
     dbar_u_delta_norm,
     l2_gap,
 )
-from hartogs.geometry import verify_uniform
+from hartogs.geometry import C_T, C_TINF, certify_uniform, verify_uniform
 from hartogs.points import PolarPoint, angle_diff, euclid
 from hartogs.quadrature import QuadratureSpec
 from hartogs.spectral import neumann_spectrum, poincare_constant
@@ -57,6 +57,13 @@ def test_criterion_01_cone_uniformity():
         f"cigar ratio reached {rep.max_dist_ratio:.4f} > 12"
     )
     assert rep.min_boundary_dist > 0.0
+    exact = certify_uniform("T_infinity", n_pairs=10_000, seed=7)
+    assert exact.max_length_ratio <= C_TINF and exact.max_dist_ratio <= C_TINF, (
+        f"exact suprema {exact.max_length_ratio:.6f}, {exact.max_dist_ratio:.6f} exceed 5 + 2 pi"
+    )
+    assert exact.max_length_ratio >= rep.max_length_ratio and exact.max_dist_ratio >= rep.max_dist_ratio, (
+        f"a sampled value exceeds its exact supremum: {rep.max_dist_ratio!r} > {exact.max_dist_ratio!r}"
+    )
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"took {elapsed:.1f}s, budget 30s"
 
@@ -71,6 +78,13 @@ def test_criterion_02_triangle_uniformity():
         f"cigar ratio reached {rep.max_dist_ratio:.4f} > 80"
     )
     assert rep.min_boundary_dist > 0.0
+    exact = certify_uniform("T", n_pairs=10_000, seed=7)
+    assert exact.max_length_ratio <= C_T and exact.max_dist_ratio <= C_T, (
+        f"exact suprema {exact.max_length_ratio:.6f}, {exact.max_dist_ratio:.6f} exceed c"
+    )
+    assert exact.max_length_ratio >= rep.max_length_ratio and exact.max_dist_ratio >= rep.max_dist_ratio, (
+        f"a sampled value exceeds its exact supremum: {rep.max_dist_ratio!r} > {exact.max_dist_ratio!r}"
+    )
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"took {elapsed:.1f}s, budget 30s"
 

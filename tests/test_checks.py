@@ -17,7 +17,7 @@ from hartogs.checks import GATES, Gate, RunParams, poincare_field_check, run_com
 from hartogs.quadrature import QuadratureSpec
 
 SMALL = RunParams(
-    level=8, surface_cells=128, shell_level=48, pairs=20, curve_samples=8, polar_pairs=1000, centers=2,
+    level=8, surface_cells=128, shell_level=48, pairs=20, polar_pairs=1000, centers=2,
     dilation_cases=3, jmax=2, kmax=2, grid=24, count=2, poincare_grid=8, n_fields=3,
 )
 
@@ -147,9 +147,13 @@ def _nan_first_node(values):
 
 # battery, module, function, 0-based call, spoil, rows that must FAIL
 NAN_CASES = [
+    # the exact suprema: one _length call per domain, cone first
     ("uniform", geometry, "_length", 0, lambda parts: (parts[0] * math.nan, *parts[1:]), ["uniform.cone.length"]),
-    # three pieces per curve chunk: call 1 is the arc of the cone's curves
+    ("uniform", geometry, "_length", 1, lambda parts: (parts[0] * math.nan, *parts[1:]), ["uniform.triangle.length"]),
+    # four dist_boundary calls per domain: segment 1 at (t*, 1), the arc radii, segment 2, the endpoints
     ("uniform", geometry, "dist_boundary", 1, _nan_first_node, ["uniform.cone.cigar", "uniform.cone.containment"]),
+    ("uniform", geometry, "dist_boundary", 4, _nan_first_node, ["uniform.triangle.cigar"]),
+    ("uniform", geometry, "dist_boundary", 7, _nan_first_node, ["uniform.triangle.containment"]),
     ("uniform", geometry, "polar_lhs_arrays", 0, _nan_first_node, ["uniform.polar_bound"]),
     ("adr", boundary, "sigma_ball_Tinf_direct", 1, _nan, ["adr.dilation"]),
     ("adr", boundary, "sigma_ball_bT", 3, _nan, ["adr.scan.refinement"]),
@@ -186,8 +190,8 @@ def test_nan_galerkin_source_fails(monkeypatch, small_rows):
         return dataclasses.replace(problem, r_centers=_nan_first_node(problem.r_centers))
 
     monkeypatch.setattr(spectral, "build_mode", build_mode)
-    rows = {row.check_id: row for row in run_command("spectrum", SMALL)}
-    assert not rows["spectrum.galerkin"].passed
+    with pytest.raises(spectral.EigenSolverError):
+        run_command("spectrum", SMALL)
 
 
 def test_poincare_check_fails_on_nan_energy(monkeypatch):

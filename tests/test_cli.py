@@ -15,7 +15,7 @@ from hartogs.cli import _parse_floats, build_parser, main
 from hartogs.reports import CSV_COLUMNS
 
 FAST = [
-    "--pairs", "50", "--curve-samples", "32", "--polar-pairs", "1000",
+    "--pairs", "50", "--polar-pairs", "1000",
     "--level", "8", "--seed", "3",
 ]
 
@@ -80,6 +80,18 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+def test_removed_curve_samples_exits_2(tmp_path, capsys):
+    # the uniform suprema are exact, so the sample count is no longer an option
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["uniform", "--curve-samples", "256"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pairs": 50, "curve_samples": 256}))
+    assert main(["uniform", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert "curve_samples" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["frobnicate"])
@@ -109,7 +121,6 @@ def test_out_of_range_flag_exits_2(tmp_path, capsys):
         ["spectrum", "--poincare-grid", "4"],
         ["spectrum", "--mode-cut", "0"],
         ["uniform", "--seed", "-1"],
-        ["uniform", "--curve-samples", "1"],
         ["uniform", "--polar-pairs", "0"],
         ["adr", "--centers", "0"],
         ["adr", "--rho-set", "5"],
@@ -177,7 +188,7 @@ def test_missing_config_file_exits_2(tmp_path):
 def test_config_supplies_parameters(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "domain": "T", "pairs": 50, "curve_samples": 32,
+        "domain": "T", "pairs": 50,
         "polar_pairs": 1000, "level": 8, "seed": 3,
         "out": str(tmp_path / "from_cfg.json"),
     }))
@@ -189,7 +200,7 @@ def test_config_supplies_parameters(tmp_path):
 
 def test_flag_overrides_config(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"domain": "T", "pairs": 50, "curve_samples": 32,
+    cfg.write_text(json.dumps({"domain": "T", "pairs": 50,
                                "polar_pairs": 1000, "level": 8, "seed": 3}))
     out = tmp_path / "r.json"
     code = main(["uniform", "--config", str(cfg), "--pairs", "75",

@@ -72,6 +72,15 @@ def test_dist_matches_cartesian():
         assert p.dist(q) == pytest.approx(direct, abs=1e-12)
 
 
+def test_dist_keeps_relative_precision_for_nearby_points():
+    # the law-of-cosines form returned 0.0 here: cos(7.6e-9) rounds to 1
+    for da in (7.645070624947843e-09, 1e-12):
+        assert PolarPoint(1.0, 0.0, 0.0, 0.0).dist(PolarPoint(1.0, da, 0.0, 0.0)) == pytest.approx(da, rel=1e-12)
+    p, q = PolarPoint(0.5, 1.0, 0.8, -2.0), PolarPoint(0.5 + 1e-10, 1.0 + 1e-10, 0.8, -2.0 - 1e-10)
+    direct = np.hypot(abs(p.z - q.z), abs(p.w - q.w))
+    assert p.dist(q) == pytest.approx(direct, rel=1e-5)
+
+
 def test_dist_identity_and_symmetry():
     p = PolarPoint(0.3, 1.0, 0.7, -2.0)
     q = PolarPoint(0.1, -0.5, 0.9, 0.4)

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from hartogs.checks import poincare_field_check
 from hartogs.quadrature import VOL_T, QuadratureSpec
 from hartogs.spectral import (
+    EigenSolverError,
     _lowest_eigenvalues,
     build_mode,
     neumann_spectrum,
@@ -177,6 +178,15 @@ def test_solve_neumann_accepts_vector_source():
     assert u.shape == (prob.size,)
     with pytest.raises(ValueError):
         solve_neumann(np.ones(5), 0, 0, n)
+
+
+@pytest.mark.parametrize("l, m", [(0, 0), (1, 0)])
+def test_solve_neumann_rejects_nan_source(l, m):
+    # a NaN residual must fail the residual guard, not return NaN silently
+    f = np.ones(build_mode(l, m, 16).size)
+    f[3] = np.nan
+    with pytest.raises(EigenSolverError, match=rf"mode \({l},{m}\)"):
+        solve_neumann(f, l, m, 16)
 
 
 ROOT = Path(__file__).resolve().parent.parent
