@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .points import PolarPoint
-from .quadrature import QuadratureSpec, integrate_T, _gl_unit, _angular_nodes, _tensor_slabs
+from .quadrature import QuadratureSpec, integrate_T, _gl_unit, _angular_nodes, _grid_slabs
 
 __all__ = [
     "LaurentIndex",
@@ -204,7 +204,7 @@ def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentC
     Em = np.exp(-1j * np.outer(ms, ang)) * wang
     sq = np.empty((n, n))
     F = np.empty((len(ls), len(ms), n, n), dtype=complex)
-    for rows, vals in _tensor_slabs(f, xs, ss, ang):
+    for rows, vals in _grid_slabs(f, xs[:, None] * ss, np.broadcast_to(ss, (n, n)), ang):
         sq[rows] = (np.abs(vals) ** 2).sum(axis=(2, 3))
         # F[l, m, x, s] = sum_ab f(x,s,a,b) e^{-i(l a + m b)} w_a w_b
         F[:, :, rows] = np.einsum("xsab,la,mb->lmxs", vals, El, Em, optimize=True)

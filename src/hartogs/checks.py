@@ -104,9 +104,11 @@ GATES = {
     "dbar.cutoff.cs": Gate(
         "int |dbar chi|^2 |f|^2 <= sqrt(int |dbar chi|^4) * sqrt(int |f|^4) on shared nodes", "le", 1.0, 0.0),
     "dbar.cutoff.firstfactor": Gate(
-        "int over B_{2 delta} cap T of |dbar chi_delta|^4 is independent of delta", "abs", 0.0, 0.1),
+        "(int over B_{2 delta} cap T of |dbar chi_delta|^4)^(1/2) = (pi/4)*sqrt(int_0^1 S'^4 (1+x)^3 dx) "
+        "for every delta", "abs", 0.0, 1e-9),
     "dbar.cutoff.decay.smooth": Gate(
-        "for bounded f the shell energy int |dbar chi|^2 |f|^2 decays like delta^2", "rel", 2.0**-8, 0.05),
+        "for f = 1 the shell energy int |dbar chi|^2 |f|^2 = (pi^2 delta^2/4) * int_0^1 S'^2 (1+x)^3 dx, "
+        "so it decays like delta^2", "abs", 0.0, 1e-6),
     "dbar.cutoff.borderline": Gate(
         "for |f| = 1/|w| the shell energy equals 15*pi^2*ln2/14 for every delta; |f|^4 is not integrable",
         "abs", 0.0, 1e-6),
@@ -164,7 +166,6 @@ class RunParams:
     kmax: int = 8
     deltas: tuple = (0.5, 0.1, 0.01)
     grid: int = 48
-    count: int = 6
     mode_cut: int = 2
     poincare_grid: int = 64
     n_fields: int = 25
@@ -174,7 +175,7 @@ class RunParams:
             raise ValueError(f"domain must be 'T', 'T_infinity' or 'both', got {self.domain!r}")
         for name, least in (
             ("seed", 0), ("pairs", 1), ("polar_pairs", 1), ("centers", 1),
-            ("dilation_cases", 1), ("jmax", 0), ("kmax", -1), ("grid", 8), ("count", 1), ("mode_cut", 1),
+            ("dilation_cases", 1), ("jmax", 0), ("kmax", -1), ("grid", 8), ("mode_cut", 1),
             ("poincare_grid", 8), ("n_fields", 1),
         ):
             if getattr(self, name) < least:
@@ -183,9 +184,6 @@ class RunParams:
             values = getattr(self, name)
             if not values or not all(0.0 < v <= top for v in values):
                 raise ValueError(f"{name} must be non-empty with every value in (0, {top:.6g}], got {values!r}")
-        cells = self.grid * (self.grid - 1) // 2
-        if self.count >= cells:
-            raise ValueError(f"count must be < {cells}, the (0,0) problem size at grid {self.grid}, got {self.count}")
         self.quad()  # out-of-range quadrature sizes fail here, before any battery runs
 
     def quad(self) -> QuadratureSpec:
@@ -347,9 +345,13 @@ def run_dbar(params: RunParams) -> list[CheckRow]:
             if name == "one":
                 first.append(rep.first_factor)
     rows.append(_row("dbar.cutoff.cs", {"deltas": "2^-2..2^-8", "fields": sorted(fields)}, np.max(cs)))
-    rows.append(_row("dbar.cutoff.firstfactor", {"deltas": "2^-2..2^-8"}, np.max(first) / np.min(first) - 1.0))
-    smooth_ratio = lhs_by["one"][4] / lhs_by["one"][0]  # delta = 2^-6 vs 2^-2
-    rows.append(_row("dbar.cutoff.decay.smooth", {"ratio": "lhs(2^-6)/lhs(2^-2)"}, smooth_ratio))
+    # closed forms from exact polynomial moments of the smoothstep profile, no quadrature
+    first_ref = np.pi / 4.0 * np.sqrt(dbar.cutoff_profile_moment(4))
+    rows.append(_row("dbar.cutoff.firstfactor", {"deltas": "2^-2..2^-8"},
+                     np.max([abs(v / first_ref - 1.0) for v in first])))
+    smooth_ref = np.pi**2 / 4.0 * dbar.cutoff_profile_moment(2)
+    rows.append(_row("dbar.cutoff.decay.smooth", {"deltas": "2^-2..2^-8"},
+                     np.max([abs(v / (smooth_ref * d * d) - 1.0) for v, d in zip(lhs_by["one"], deltas)])))
     # closed form: 4 pi^2 * (1/4) int_0^1 S'(x)^2 (1+x) dx * int_{pi/4}^{pi/2} cot = 4 pi^2 (15/28) (ln 2)/2
     border = 15.0 * np.pi**2 * np.log(2.0) / 14.0
     border_err = np.max([abs(v / border - 1.0) for v in lhs_by["winv"]])
@@ -403,8 +405,8 @@ def poincare_field_check(C: float, mode_cut: int, n_fields: int, seed, spec: Qua
 
 def run_spectrum(params: RunParams) -> list[CheckRow]:
     rows = []
-    res = spectral.neumann_spectrum(0, 0, params.grid, max(2, params.count))
-    grid_params = {"l": 0, "m": 0, "n": params.grid, "count": max(2, params.count)}
+    res = spectral.neumann_spectrum(0, 0, params.grid, 2)  # lambda_0 and lambda_1 at n and 2n
+    grid_params = {"l": 0, "m": 0, "n": params.grid}
     rows.append(_row("spectrum.zero", grid_params, res.eigenvalues[0]))
     rows.append(_row("spectrum.kernel", grid_params, res.eigenvalues[1]))
 

@@ -37,7 +37,6 @@ _OPTIONS = {
     "--kmax": ("kmax", dict(type=int, help="largest k in the basis block")),
     "--deltas": ("deltas", dict(type=str, help="comma-separated delta values for the scaling check")),
     "--grid": ("grid", dict(type=int, help="cells per axis for the eigenvalue grid")),
-    "--count": ("count", dict(type=int, help="eigenvalues per mode")),
     "--mode-cut": ("mode_cut", dict(type=int, help="angular mode bound for the lowest-eigenvalue search")),
     "--poincare-grid": ("poincare_grid", dict(type=int, help="grid for the Poincare constant")),
     "--n-fields": ("n_fields", dict(type=int, help="random fields for the Poincare validation")),

@@ -46,11 +46,12 @@ integrable on T, which the report flags).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .points import PolarPoint
-from .quadrature import QuadratureSpec, integrate_T, _gl_unit, _angular_nodes, _slabs
+from .quadrature import QuadratureSpec, integrate_T, _gl_unit, _angular_nodes, _grid_slabs
 from .bergman import v_eval_arrays
 
 __all__ = [
@@ -66,6 +67,7 @@ __all__ = [
     "smoothstep_deriv",
     "chi_delta",
     "dchi_delta",
+    "cutoff_profile_moment",
     "cutoff_commutator_check",
 ]
 
@@ -222,6 +224,19 @@ def dchi_delta(delta: float, p: PolarPoint) -> np.ndarray:
     return (g / t) * np.array([z.real, z.imag, w.real, w.imag])
 
 
+def cutoff_profile_moment(power: int) -> float:
+    """int_0^1 S'(x)^power (1+x)^3 dx, S' = 30 x^2 (1-x)^2, in exact rational
+    arithmetic on the integer polynomial, with no quadrature rule.  With
+    t = delta (1 + x), |dbar chi| = S'/(2 delta), dV = t^3 sin cos dt dtheta
+    da db and theta in (pi/4, pi/2), the shell integral of |dbar chi|^4 is
+    (pi^2/16) moment(4) and that of |dbar chi|^2 is (pi^2 delta^2/4) moment(2).
+    """
+    coeffs = [1]
+    for factor in [(0, 0, 30, -60, 30)] * power + [(1, 3, 3, 1)]:
+        coeffs = np.convolve(coeffs, factor)
+    return float(sum(Fraction(int(c), k + 1) for k, c in enumerate(coeffs)))
+
+
 @dataclass(frozen=True)
 class CutoffReport:
     """Both sides of the shell Cauchy-Schwarz estimate at one (f, delta)."""
@@ -234,72 +249,48 @@ class CutoffReport:
     l4_diverges: bool
 
 
-def _shell_slabs(delta: float, nt: int, nth: int, nang: int):
-    """Shared node set on B_{2 delta}(0) cap T in coordinates (t, theta, a, b);
-    (r, s) = (t cos theta, t sin theta), weight t^3 sin cos dt dtheta.
-
-    Yields (T, R, A, S, B, W) for consecutive t-slabs of at most
-    ``quadrature._SLAB_NODES`` nodes, W broadcast to the slab shape.
-    """
-    t, wt = _gl_unit(nt)
-    t, wt = 2.0 * delta * t, 2.0 * delta * wt
-    th, wth = _gl_unit(nth)
-    th, wth = np.pi / 4.0 + th * np.pi / 4.0, wth * np.pi / 4.0
-    ang, wang = _angular_nodes(nang)
-    TH = th[None, :, None, None]
-    A = ang[None, None, :, None]
-    B = ang[None, None, None, :]
-    WTH = (wth * np.sin(th) * np.cos(th))[None, :, None, None]
-    for rows in _slabs(nt, nth * nang * nang):
-        T = t[rows, None, None, None]
-        R = T * np.cos(TH)
-        S = T * np.sin(TH)
-        W = (wt[rows] * t[rows] ** 3)[:, None, None, None] * WTH * wang * wang
-        yield T, R, A, S, B, np.broadcast_to(W, (T.shape[0], nth, nang, nang))
-
-
-def cutoff_commutator_check(
-    f, delta: float, quad: QuadratureSpec, strict: bool = False
-) -> CutoffReport:
+def cutoff_commutator_check(f, delta: float, quad: QuadratureSpec) -> CutoffReport:
     """Evaluate lhs = int |dbar chi_delta|^2 |f|^2 and its Cauchy-Schwarz
     bound over B_{2 delta}(0) cap T on one shared node set.
 
     With shared nodes and positive weights, lhs <= rhs is the discrete
     Cauchy-Schwarz inequality and holds for every f; the report carries the
     factor sizes.  A refinement probe flags fields whose fourth power fails
-    to be integrable (growth > 1% under node doubling); with strict=True
-    such fields raise instead of being reported.
+    to be integrable (growth > 1% when the t-nodes double).
 
-    The shell sums run over t-slabs of the node set (see
-    ``quadrature._SLAB_NODES``), so no full shell grid is allocated.
+    Nodes: Gauss in t on (0, 2 delta) and theta on (pi/4, pi/2), with
+    (r, s) = t (cos theta, sin theta) and weight t^3 sin cos (sizes in
+    ``QuadratureSpec.shell_level``).  ``quadrature._grid_slabs`` evaluates f in
+    t-slabs, each kept as its angular sums of |f|^2 and |f|^4; the weight and
+    the t-only |dbar chi_delta|^2 = (S'((t - delta)/delta)/(2 delta))^2 apply
+    after the loop, so the first factor is a product of 1-D sums.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2] so the shell stays in T")
-    nt, nth, nang = quad.shell_level, max(16, quad.shell_level // 3), 12
+    nth, nang = max(16, quad.shell_level // 3), 12
+    th, wth = _gl_unit(nth)
+    th, wth = np.pi / 4.0 + th * np.pi / 4.0, wth * np.pi / 4.0
+    wth = wth * np.sin(th) * np.cos(th)
+    ang, wang = _angular_nodes(nang)
 
-    def pieces(nt_, nth_, nang_):
-        lhs = quart = fquart = 0.0
-        for T, R, A, S, B, W in _shell_slabs(delta, nt_, nth_, nang_):
-            dchi2 = (smoothstep_deriv((T - delta) / delta) / (2.0 * delta)) ** 2
-            dchi2 = np.broadcast_to(dchi2, W.shape)
-            f2 = np.abs(np.broadcast_to(np.asarray(f(R, A, S, B)), W.shape)) ** 2
-            lhs += float(np.sum(dchi2 * f2 * W))
-            quart += float(np.sum(dchi2**2 * W))
-            fquart += float(np.sum(f2**2 * W))
-        return lhs, quart, fquart
+    def shell_sums(nt):
+        t, wt = _gl_unit(nt)
+        t, wt = 2.0 * delta * t, 2.0 * delta * wt
+        f2 = np.empty((nt, nth))
+        f4 = np.empty((nt, nth))
+        for rows, vals in _grid_slabs(f, t[:, None] * np.cos(th), t[:, None] * np.sin(th), ang):
+            a2 = np.abs(vals) ** 2
+            f2[rows] = np.einsum("ijkl->ij", a2)
+            f4[rows] = np.einsum("ijkl,ijkl->ij", a2, a2)
+        wt = wt * t**3
+        W = wt[:, None] * wth * wang * wang
+        dchi2 = (smoothstep_deriv((t - delta) / delta) / (2.0 * delta)) ** 2
+        quart = np.sum(dchi2**2 * wt) * np.sum(wth) * (nang * wang) ** 2
+        return float(np.sum(dchi2[:, None] * f2 * W)), float(quart), float(np.sum(f4 * W))
 
-    lhs, quart, fquart = pieces(nt, nth, nang)
-    _, _, fquart_fine = pieces(2 * nt, nth, nang)
+    lhs, quart, fquart = shell_sums(quad.shell_level)
+    fquart_fine = shell_sums(2 * quad.shell_level)[2]
     diverges = fquart_fine - fquart > 0.01 * max(fquart, 1e-300)
-    if strict and diverges:
-        raise ValueError("field has divergent fourth-power integral on the shell")
-    first = np.sqrt(quart)
-    second = np.sqrt(fquart)
-    return CutoffReport(
-        delta=float(delta),
-        lhs=lhs,
-        rhs=float(first * second),
-        first_factor=float(first),
-        second_factor=float(second),
-        l4_diverges=bool(diverges),
-    )
+    first, second = np.sqrt(quart), np.sqrt(fquart)
+    return CutoffReport(delta=float(delta), lhs=lhs, rhs=float(first * second), first_factor=float(first),
+                        second_factor=float(second), l4_diverges=bool(diverges))

@@ -19,12 +19,17 @@ Rule layout per axis, all sizes equal to ``QuadratureSpec.level``:
   trigonometric polynomials of degree < level.  This makes angular-mode
   orthogonality an identity of the discrete rule, not a tolerance race.
 
-Memory: the level^4 grid is never held whole.  ``integrate_T`` and
-``bergman.project`` evaluate the integrand on consecutive x-slabs of at most
-``_SLAB_NODES`` nodes and keep only per-(x, s) reductions, so memory is
-O(level^3).  Each slab is evaluated and finite-checked exactly as the whole
-grid would be, row for row, so ``integrate_T`` does not depend on the slab
-size; ``project``'s angular transform may round differently in the last bits.
+Memory: no 4-D grid is held whole.  One slab evaluator, ``_grid_slabs``,
+takes 2-D radial node arrays R[i, j], S[i, j] and the angular nodes, and
+yields the integrand on consecutive row-slabs of at most ``_SLAB_NODES``
+nodes, finite-checked.  It serves ``integrate_T`` and ``bergman.project``
+(x-slabs of the tensor grid, (R, S) = (x s, s)) and
+``dbar.cutoff_commutator_check`` (t-slabs of the shell grid,
+(R, S) = (t cos theta, t sin theta)).  Each caller keeps only per-(i, j)
+angular reductions, so memory is O(level^3).  Each slab is evaluated and
+finite-checked exactly as the whole grid would be, row for row, so
+``integrate_T`` does not depend on the slab size; ``project``'s angular
+transform may round differently in the last bits.
 
 Randomness: ``sample_T`` rejection-samples the unit bidisk (accept |z| < |w|,
 acceptance rate 1/2) using numpy's default_rng, i.e. the PCG64 generator.
@@ -54,7 +59,9 @@ __all__ = [
 #: Volume of T: int_T dV = (2 pi)^2 * int_0^1 s^3/2 ds = pi^2 / 2.
 VOL_T = np.pi**2 / 2.0
 
-#: Nodes per slab of a level^4 or shell grid: 2^20 complex values are 16 MB,
+#: Nodes per slab of ``_grid_slabs``, for all three of its users: the level^4
+#: grids of integrate_T and bergman.project and the shell grid of
+#: dbar.cutoff_commutator_check.  2^20 complex values are 16 MB,
 #: four x-rows at level 64.  Over the three level-64 grid calls of the
 #: benchmark's fine_grids workload (2 vCPUs), the traced peak is 602 MB for
 #: the whole grid (2^24 nodes), 48 MB at 2^20 and 24 MB at 2^18; time is
@@ -71,7 +78,8 @@ class QuadratureSpec:
     level: per-axis node count of the tensor rule on T.
     surface_cells: per-axis midpoint cells for boundary-measure integrals
         (indicator-type integrands; Gauss rules are wrong for those).
-    shell_level: per-axis Gauss nodes for the thin-shell cutoff integrals.
+    shell_level: Gauss t-nodes of the thin-shell cutoff integrals; theta
+        uses max(16, shell_level // 3) Gauss nodes, each angle 12 nodes.
     """
 
     level: int = 32
@@ -128,32 +136,25 @@ def _angular_nodes(n: int) -> tuple[np.ndarray, float]:
     return nodes, 2.0 * np.pi / n
 
 
-def _slabs(rows: int, per_row: int):
-    """Consecutive slices of ``rows`` holding at most _SLAB_NODES nodes of
-    ``per_row`` each (at least one row per slice)."""
-    step = max(1, _SLAB_NODES // per_row)
-    for lo in range(0, rows, step):
-        yield slice(lo, min(lo + step, rows))
-
-
-def _tensor_slabs(f: Callable, xs: np.ndarray, ss: np.ndarray, ang: np.ndarray):
-    """Yield (rows, vals): f on consecutive x-slabs of the (x, s, alpha, beta)
-    tensor grid, r = x*s, broadcast to full complex slab shape.
+def _grid_slabs(f: Callable, R: np.ndarray, S: np.ndarray, ang: np.ndarray):
+    """Yield (rows, vals): f on consecutive row-slabs (at least one row, at
+    most ``_SLAB_NODES`` nodes) of the 4-D grid (r, alpha, s, beta) =
+    (R[i, j], ang[k], S[i, j], ang[l]), broadcast to full complex slab shape.
 
     NonFiniteIntegrandError names the first nan/inf node of the grid.
     """
-    S = ss[None, :, None, None]
     A = ang[None, None, :, None]
     B = ang[None, None, None, :]
-    for rows in _slabs(xs.size, ss.size * ang.size * ang.size):
-        X = xs[rows, None, None, None]
-        vals = np.asarray(f(X * S, A, S, B), dtype=complex)
-        vals = np.broadcast_to(vals, (X.shape[0], ss.size, ang.size, ang.size))
+    n, m = R.shape
+    step = max(1, _SLAB_NODES // (m * ang.size * ang.size))
+    for lo in range(0, n, step):
+        rows = slice(lo, min(lo + step, n))
+        vals = np.asarray(f(R[rows, :, None, None], A, S[rows, :, None, None], B), dtype=complex)
+        vals = np.broadcast_to(vals, (rows.stop - lo, m, ang.size, ang.size))
         finite = np.isfinite(vals)
         if not finite.all():
             i, j, k, l = np.argwhere(~finite)[0]
-            x = xs[rows.start + i]
-            node = (float(x * ss[j]), float(ang[k]), float(ss[j]), float(ang[l]))
+            node = (float(R[rows][i, j]), float(ang[k]), float(S[rows][i, j]), float(ang[l]))
             raise NonFiniteIntegrandError(node, vals[i, j, k, l])
         yield rows, vals
 
@@ -178,7 +179,7 @@ def integrate_T(f: Callable, spec: QuadratureSpec) -> complex:
 
     # the angular rule has constant weight, so sum angles then weight radially
     radial = np.empty((n, n), dtype=complex)
-    for rows, vals in _tensor_slabs(f, xs, ss, ang):
+    for rows, vals in _grid_slabs(f, xs[:, None] * ss, np.broadcast_to(ss, (n, n)), ang):
         radial[rows] = np.einsum("ijkl->ij", vals)
     # weight: (x s^3) dx ds dalpha dbeta
     w_rad = (wxs * xs)[:, None] * (wss * ss**3)[None, :]

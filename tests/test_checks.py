@@ -17,8 +17,8 @@ from hartogs.checks import GATES, Gate, RunParams, poincare_field_check, run_com
 from hartogs.quadrature import QuadratureSpec
 
 SMALL = RunParams(
-    level=8, surface_cells=128, shell_level=48, pairs=20, polar_pairs=1000, centers=2,
-    dilation_cases=3, jmax=2, kmax=2, grid=24, count=2, poincare_grid=8, n_fields=3,
+    level=8, surface_cells=128, shell_level=96, pairs=20, polar_pairs=1000, centers=2,
+    dilation_cases=3, jmax=2, kmax=2, grid=24, poincare_grid=8, n_fields=3,
 )
 
 # (comparison, expected, tolerance) of every check, as the report states them
@@ -48,8 +48,8 @@ PINNED = {
     "dbar.gap.decay": ("lt", 0.1, 0.0),
     "dbar.cutoff.gradbound": ("le", 1.875, 1e-09),
     "dbar.cutoff.cs": ("le", 1.0, 0.0),
-    "dbar.cutoff.firstfactor": ("abs", 0.0, 0.1),
-    "dbar.cutoff.decay.smooth": ("rel", 0.00390625, 0.05),
+    "dbar.cutoff.firstfactor": ("abs", 0.0, 1e-09),
+    "dbar.cutoff.decay.smooth": ("abs", 0.0, 1e-06),
     "dbar.cutoff.borderline": ("abs", 0.0, 1e-06),
     "spectrum.zero": ("abs", 0.0, 1e-08),
     "spectrum.kernel": ("gt", 1.0, 0.0),
@@ -179,6 +179,16 @@ def test_one_nan_case_fails_its_row(monkeypatch, small_rows, battery, module, na
     _spoil_call(monkeypatch, module, name, nth, spoil)
     rows = {row.check_id: row for row in run_command(battery, SMALL)}
     assert [check_id for check_id in failing if rows[check_id].passed] == []
+
+
+def test_scaled_cutoff_profile_fails_the_shell_rows(monkeypatch, small_rows):
+    # the shell rows compare with closed forms that do not go through smoothstep_deriv
+    rows = ["dbar.cutoff.firstfactor", "dbar.cutoff.decay.smooth"]
+    assert all(small_rows[check_id].passed for check_id in rows)
+    original = dbar.smoothstep_deriv
+    monkeypatch.setattr(dbar, "smoothstep_deriv", lambda x: original(x) * (1.0 + 1e-6))
+    spoiled = {row.check_id: row for row in run_command("dbar", SMALL)}
+    assert [check_id for check_id in rows if spoiled[check_id].passed] == []
 
 
 def test_nan_galerkin_source_fails(monkeypatch, small_rows):

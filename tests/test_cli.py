@@ -92,6 +92,20 @@ def test_removed_curve_samples_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_removed_count_exits_2(tmp_path, capsys):
+    # the spectrum battery reads exactly two eigenvalues, so their number is no longer an option
+    for argv in (["spectrum", "--count", "0"], ["spectrum", "--count", "2000", "--grid", "8"],
+                 ["spectrum", "--count", "28", "--grid", "8"]):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2, argv
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": 16, "count": 6}))
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert "count" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["frobnicate"])
@@ -129,9 +143,6 @@ def test_out_of_range_flag_exits_2(tmp_path, capsys):
         ["bergman", "--jmax", "-1"],
         ["bergman", "--kmax", "-2"],
         ["dbar", "--deltas", "2"],
-        ["spectrum", "--count", "0"],
-        ["spectrum", "--count", "2000", "--grid", "8"],
-        ["spectrum", "--count", "28", "--grid", "8"],
         ["spectrum", "--n-fields", "0"],
     ):
         code = main([*argv, "--out", str(out)])
@@ -233,7 +244,7 @@ def test_failing_check_exits_1(tmp_path, monkeypatch, capsys):
 def test_deltas_flag_parses_tuple(tmp_path):
     out = tmp_path / "r.json"
     code = main(["dbar", "--deltas", "0.5,0.25", "--jmax", "1",
-                 "--shell-level", "48", "--level", "8", "--out", str(out)])
+                 "--shell-level", "96", "--level", "8", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["config"]["deltas"] == [0.5, 0.25]

@@ -24,11 +24,12 @@ from hartogs.dbar import (
     w1_energy_u_raw,
 )
 from hartogs.points import PolarPoint
-from hartogs.quadrature import QuadratureSpec, sample_T
+from hartogs.quadrature import NonFiniteIntegrandError, QuadratureSpec, _angular_nodes, _gl_unit, sample_T
 
 SPEC = QuadratureSpec(level=24)
 ONE = lambda r, a, s, b: np.ones(np.broadcast(r, s).shape)
 WINV = lambda r, a, s, b: 1.0 / (s * np.exp(1j * b))
+SKEW = lambda r, a, s, b: (r * np.exp(1j * a) + 0.3) / (s * np.exp(1j * b)) + 1j * r * s * np.cos(2 * b - a)
 
 
 def test_family_spec_validation():
@@ -254,8 +255,6 @@ def test_cutoff_borderline_field_constant_lhs():
 def test_cutoff_l4_divergence_flag():
     assert not cutoff_commutator_check(ONE, 0.1, SPEC).l4_diverges
     assert cutoff_commutator_check(WINV, 0.1, SPEC).l4_diverges
-    with pytest.raises(ValueError):
-        cutoff_commutator_check(WINV, 0.1, SPEC, strict=True)
 
 
 def test_cutoff_delta_range():
@@ -287,3 +286,68 @@ def test_cutoff_memory_is_slab_bound():
     finally:
         tracemalloc.stop()
     assert peak < 48_000_000
+
+
+def shell_nodes(delta, nt, nth, nang):
+    """The cutoff check's node set: t, theta and angle nodes."""
+    t, wt = _gl_unit(nt)
+    th, wth = _gl_unit(nth)
+    ang, wang = _angular_nodes(nang)
+    return 2.0 * delta * t, 2.0 * delta * wt, np.pi / 4.0 + th * np.pi / 4.0, wth * np.pi / 4.0, ang, wang
+
+
+def cutoff_broadcast_reference(f, delta, quad):
+    """Reference cutoff check: the whole shell grid at once, with the weight
+    and |dbar chi|^2 broadcast to every (t, theta, a, b) node."""
+    nth, nang = max(16, quad.shell_level // 3), 12
+
+    def pieces(nt):
+        t, wt, th, wth, ang, wang = shell_nodes(delta, nt, nth, nang)
+        T, TH = t[:, None, None, None], th[None, :, None, None]
+        A, B = ang[None, None, :, None], ang[None, None, None, :]
+        shape = (nt, nth, nang, nang)
+        W = (wt * t**3)[:, None, None, None] * (wth * np.sin(th) * np.cos(th))[None, :, None, None] * wang * wang
+        W = np.broadcast_to(W, shape)
+        dchi2 = np.broadcast_to((smoothstep_deriv((T - delta) / delta) / (2.0 * delta)) ** 2, shape)
+        f2 = np.abs(np.broadcast_to(np.asarray(f(T * np.cos(TH), A, T * np.sin(TH), B)), shape)) ** 2
+        return float(np.sum(dchi2 * f2 * W)), float(np.sum(dchi2**2 * W)), float(np.sum(f2**2 * W))
+
+    lhs, quart, fquart = pieces(quad.shell_level)
+    fine = pieces(2 * quad.shell_level)[2]
+    first, second = np.sqrt(quart), np.sqrt(fquart)
+    return CutoffReport(delta, lhs, float(first * second), float(first), float(second),
+                        bool(fine - fquart > 0.01 * max(fquart, 1e-300)))
+
+
+@pytest.mark.parametrize("shell_level", [24, 96])
+@pytest.mark.parametrize("slab_rows", [None, 5])
+def test_cutoff_matches_broadcast_reference(monkeypatch, shell_level, slab_rows):
+    spec = QuadratureSpec(shell_level=shell_level)
+    if slab_rows is not None:
+        monkeypatch.setattr(quadrature, "_SLAB_NODES", slab_rows * max(16, shell_level // 3) * 12 * 12)
+    for f in (ONE, WINV, SKEW):
+        for delta in (0.3, 2.0**-6):
+            rep = cutoff_commutator_check(f, delta, spec)
+            ref = cutoff_broadcast_reference(f, delta, spec)
+            assert rep.l4_diverges == ref.l4_diverges
+            for name in ("lhs", "rhs", "first_factor", "second_factor"):
+                assert getattr(rep, name) == pytest.approx(getattr(ref, name), rel=1e-14, abs=0.0)
+
+
+# t-row of the NaN: in the first slab, and in the ragged last slab (24 rows in slabs of 5)
+@pytest.mark.parametrize("row", [0, 1, 23])
+def test_cutoff_non_finite_names_shell_node(monkeypatch, row):
+    spec = QuadratureSpec(shell_level=24)
+    monkeypatch.setattr(quadrature, "_SLAB_NODES", 5 * 16 * 12 * 12)
+    delta = 0.3
+    t, _, th, _, ang, _ = shell_nodes(delta, 24, 16, 12)
+    node = (float(t[row] * np.cos(th[5])), float(ang[7]), float(t[row] * np.sin(th[5])), float(ang[2]))
+
+    def bad(r, a, s, b):
+        hit = (r == node[0]) & (a == node[1]) & (s == node[2]) & (b == node[3])
+        return np.where(hit, np.nan, SKEW(r, a, s, b))
+
+    with pytest.raises(NonFiniteIntegrandError) as err:
+        cutoff_commutator_check(bad, delta, spec)
+    assert err.value.node == node
+    assert np.isnan(err.value.value)
