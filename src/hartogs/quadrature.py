@@ -157,6 +157,7 @@ def _grid_slabs(f: Callable, R: np.ndarray, S: np.ndarray, ang: np.ndarray):
             node = (float(R[rows][i, j]), float(ang[k]), float(S[rows][i, j]), float(ang[l]))
             raise NonFiniteIntegrandError(node, vals[i, j, k, l])
         yield rows, vals
+        del vals, finite  # with the caller's del, slab k is freed before f runs on slab k + 1
 
 
 def integrate_T(f: Callable, spec: QuadratureSpec) -> complex:
@@ -181,6 +182,7 @@ def integrate_T(f: Callable, spec: QuadratureSpec) -> complex:
     radial = np.empty((n, n), dtype=complex)
     for rows, vals in _grid_slabs(f, xs[:, None] * ss, np.broadcast_to(ss, (n, n)), ang):
         radial[rows] = np.einsum("ijkl->ij", vals)
+        del vals
     # weight: (x s^3) dx ds dalpha dbeta
     w_rad = (wxs * xs)[:, None] * (wss * ss**3)[None, :]
     total = np.sum(radial * w_rad) * wang * wang

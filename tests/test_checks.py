@@ -17,7 +17,7 @@ from hartogs.checks import GATES, Gate, RunParams, poincare_field_check, run_com
 from hartogs.quadrature import QuadratureSpec
 
 SMALL = RunParams(
-    level=8, surface_cells=128, shell_level=96, pairs=20, polar_pairs=1000, centers=2,
+    level=8, surface_cells=128, shell_level=48, pairs=20, polar_pairs=1000, centers=2,
     dilation_cases=3, jmax=2, kmax=2, grid=24, poincare_grid=8, n_fields=3,
 )
 
@@ -48,7 +48,7 @@ PINNED = {
     "dbar.gap.decay": ("lt", 0.1, 0.0),
     "dbar.cutoff.gradbound": ("le", 1.875, 1e-09),
     "dbar.cutoff.cs": ("le", 1.0, 0.0),
-    "dbar.cutoff.firstfactor": ("abs", 0.0, 1e-09),
+    "dbar.cutoff.firstfactor": ("abs", 0.0, 1e-08),
     "dbar.cutoff.decay.smooth": ("abs", 0.0, 1e-06),
     "dbar.cutoff.borderline": ("abs", 0.0, 1e-06),
     "spectrum.zero": ("abs", 0.0, 1e-08),

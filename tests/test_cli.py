@@ -244,7 +244,7 @@ def test_failing_check_exits_1(tmp_path, monkeypatch, capsys):
 def test_deltas_flag_parses_tuple(tmp_path):
     out = tmp_path / "r.json"
     code = main(["dbar", "--deltas", "0.5,0.25", "--jmax", "1",
-                 "--shell-level", "96", "--level", "8", "--out", str(out)])
+                 "--shell-level", "48", "--level", "8", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["config"]["deltas"] == [0.5, 0.25]
