@@ -27,7 +27,7 @@ def main() -> None:
     parser.add_argument("--t-steps", type=int, default=61, help="grid points on [0, t-max]")
     parser.add_argument("--centers", type=int, default=10, help="random boundary centers")
     parser.add_argument("--seed", type=int, default=7, help="RNG seed for the centers")
-    parser.add_argument("--cells", type=int, default=768, help="quadrature cells per ball")
+    parser.add_argument("--cells", type=int, default=768, help="ceiling on nodes per piece of each ball rule")
     parser.add_argument("--out-dir", type=str, default="results", help="output directory")
     args = parser.parse_args()
 

@@ -13,18 +13,42 @@ membership |p - p0| < rho reduces, for a center with coordinate moduli
 so the beta-fiber of the indicator is an arc of exactly computable length
 2 arccos(.), and the alpha-window where that length is positive is another
 arccos.  The measure of a boundary ball is therefore a 2D integral over
-(r, alpha) of a piecewise-smooth closed form; midpoint rules on the window
-(Gauss rules are wrong for the kinked integrand) converge fast enough for
-the 1e-4 / 1% tolerances used here.  By the separate rotation invariance in
-z and w the result depends on the center only through (az, aw).
+(r, alpha) of a piecewise-smooth closed form.  By the separate rotation
+invariance in z and w the result depends on the center only through
+(az, aw).
 
-The cone rule uses n = surface_cells midpoint cells per axis: in r over the
-ball's radial range, and in the alpha offset scaled to u in (-1, 1) over the
-window.  Each distinct node is evaluated once.  The integrand is even in u,
-so the nodes u >= 0 carry weight 2 (the node u = 0 of odd n keeps weight 1);
-rows with an empty alpha-window are skipped; and the live rows are evaluated
-in fixed blocks of rows with in-place ufuncs, so memory stays O(n) and no
-n x n array is allocated.
+Rules.  Every integral below is a Gauss rule on pieces whose ends are the
+integrand's kinks, each piece mapped by x = (1 - cos phi)/2 with phi Gauss
+on (0, pi); the map absorbs the square-root edges at the piece ends.
+
+* alpha: the integrand is even, so integrate over (0, pi) and double.  With
+  k(r) = (r^2 + R^2 - rho^2)/(sqrt(2) r) the beta-fiber is the full circle
+  for alpha < a2 = arccos((k + aw)/az) and empty beyond
+  a1 = arccos((k - aw)/az) (arguments clipped to [-1, 1]), so (0, a2)
+  contributes 2 pi a2 exactly and one mapped piece covers (a2, a1).  For
+  az = 0 or aw = 0 the alpha-integral is closed form.
+* r: the support, where a1 > 0, is (r - (az + aw)/sqrt(2))^2 < rho^2 -
+  (az - aw)^2/2, cut at r_hi; it splits at the other roots of
+  r^2 - sqrt(2) c r + R^2 - rho^2 for c in {+-(az + aw), +-(az - aw)}, where
+  a1 or a2 reaches 0 or pi.
+* cylinder: beta over (0, halfw), doubled, splits where the fiber radius
+  below equals |1 - az| or 1 + az (the lens changes type); those points are
+  closed form in sin(beta/2).
+
+The quantities near a kink are differences of nearly equal numbers when a
+ball is small or its center near the rim |z| = |w| = 1, so the code never
+forms them as such: k + s1 az + s2 aw is a product of differences, each
+arccos near an end of [-1, 1] becomes an arcsin of the distance to that end,
+and the lens area is two circular segments from atan2 and Heron's product.
+Without this, roundoff of order 1e-9 relative kept successive rules from
+agreeing.
+
+The node count is measured, not chosen: each ball runs its rule with 32
+nodes per piece and doubles while two successive values differ by more than
+1e-10 relative, returning the finer one.  ``QuadratureSpec.surface_cells``
+is the ceiling; a ball that reaches it without agreement raises ValueError.
+At 32 and 64 nodes the apex profile f(0) and the total sigma(bT) meet their
+closed forms to about 1e-15.
 
 The normalized profile f(t) = sigma(B_1(p) cap bT_inf) at |p| = t gives the
 dilation law sigma(B_rho(p) cap bT_inf) = rho^3 f(|p|/rho), with
@@ -41,12 +65,13 @@ diam(T) = 2 sqrt(2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .points import PolarPoint
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, gauss_legendre
 
 __all__ = [
     "ADRReport",
@@ -61,73 +86,151 @@ __all__ = [
 ]
 
 _SQ2 = np.sqrt(2.0)
-_BLOCK_ROWS = 64  # r-rows of the (r, alpha) midpoint grid evaluated per block
+_FIRST_NODES = 32  # nodes per piece of the first rule; doubled until two values agree
+_AGREE_REL = 1e-10  # relative agreement of two successive rules that ends the doubling
 
 SIGMA_BT_TOTAL = (4.0 * _SQ2 / 3.0) * np.pi**2 + 2.0 * np.pi**2
 DIAM_T = 2.0 * _SQ2
 ADR_WINDOW = (0.3, 30.0)  # frozen bounds on sigma(B_rho(p) cap bT)/rho^3
 
 
+@functools.lru_cache(maxsize=None)
+def _cosine_gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node rule on (0, 1): x = (1 - cos phi)/2 with phi Gauss on (0, pi).
+
+    Read-only arrays shared between callers, like ``gauss_legendre``'s.
+    """
+    t, w = gauss_legendre(n)
+    phi = 0.5 * np.pi * (t + 1.0)
+    x = 0.5 * (1.0 - np.cos(phi))
+    wx = (0.25 * np.pi) * w * np.sin(phi)
+    x.flags.writeable = False
+    wx.flags.writeable = False
+    return x, wx
+
+
+def _split_rule(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node cosine-mapped rule on each piece
+    [edges[i], edges[i + 1]] of a sorted breakpoint list, concatenated."""
+    edges = np.asarray(edges, dtype=float)
+    x, wx = _cosine_gauss(n)
+    a, width = edges[:-1, None], np.diff(edges)[:, None]
+    return (a + width * x).ravel(), (width * wx).ravel()
+
+
+def _measured(rule, ceiling: int, ball: tuple) -> float:
+    """rule(m) at m = 32, 64, ... nodes per piece, doubled until two successive
+    values agree to 1e-10 relative; returns the finer of the two.
+
+    ValueError names the ball and the last two values when the next doubling
+    would pass ``ceiling`` first.
+    """
+    m = _FIRST_NODES
+    values = [rule(m)]
+    while 2 * m <= ceiling:
+        m *= 2
+        values.append(rule(m))
+        if abs(values[-1] - values[-2]) <= _AGREE_REL * abs(values[-1]):
+            return values[-1]
+    az, aw, rho = map(float, ball)
+    raise ValueError(
+        f"boundary ball (az={az!r}, aw={aw!r}, rho={rho!r}) not converged within {ceiling} nodes "
+        f"per piece: last values {values[-2:]!r}"
+    )
+
+
+def _arccos_from_ends(u, v):
+    """arccos(1 - u) for u + v = 2, from the smaller of u and v, so that it
+    loses no digits near either end; 0 where u <= 0 and pi where v <= 0."""
+    a = 2.0 * np.arcsin(np.sqrt(np.clip(0.5 * np.minimum(u, v), 0.0, 1.0)))
+    return np.where(u <= v, a, np.pi - a)
+
+
+def _cone_rule(az: float, aw: float, rho: float, lo: float, hi: float, n: int) -> float:
+    """One cone-ball value with n nodes per piece (see the module docstring)."""
+    # t = k + s1 az + s2 aw = ((r + e)^2 + f^2 - rho^2)/(sqrt2 r), e and f = (s1 az +- s2 aw)/sqrt2,
+    # in a form that loses no digits away from its root; the alpha-window edges
+    # reach 0 or pi at the roots r = -e +- sqrt(rho^2 - f^2)
+    ef = [((s1 * az + s2 * aw) / _SQ2, (s1 * az - s2 * aw) / _SQ2) for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    cuts = [lo, hi]
+    for e, f in ef:
+        if rho > abs(f):
+            half = np.sqrt((rho - f) * (rho + f))
+            cuts += [x for x in (-e - half, -e + half) if lo < x < hi]
+    r, wr = _split_rule(sorted(set(cuts)), n)
+    t_pp, t_pm, t_mp, t_mm = (((r + e - rho) * (r + e + rho) + f * f) / (_SQ2 * r) for e, f in ef)
+
+    # half-range alpha integral h(r) of the beta-fiber length 2 arccos((k - az cos alpha)/aw)
+    if min(az, aw) < 1e-300:
+        # the fiber length is constant in alpha (az = 0) or 0 / 2 pi (aw = 0): 2 arccos(k/a);
+        # at the apex (a = 0) every r < rho has k < 0 and the full torus
+        a = az + aw
+        h = 2.0 * np.pi * (_arccos_from_ends(-t_mm / a, t_pp / a) if a > 0.0 else np.pi)
+    else:
+        a2 = _arccos_from_ends(-t_mp / az, t_pp / az)  # arccos((k + aw)/az): full circle on (0, a2)
+        a1 = _arccos_from_ends(-t_mm / az, t_pm / az)  # arccos((k - aw)/az): empty beyond a1
+        # on (a2, a1) the half fiber arccos(1 - u) = 2 arcsin(sqrt(u/2)), with
+        # u/2 = (az + aw - k - 2 az sin^2(alpha/2))/(2 aw); exact in relative terms
+        # for short arcs, and for arcs near pi its absolute error is harmless
+        x, wx = _cosine_gauss(n)
+        q = np.multiply(0.5 * (a1 - a2)[:, None], x)
+        q += 0.5 * a2[:, None]
+        np.sin(q, out=q)
+        q *= q
+        q *= -az / aw
+        q -= (0.5 / aw) * t_mm[:, None]
+        np.clip(q, 0.0, 1.0, out=q)
+        np.sqrt(q, out=q)
+        half_fiber = np.arcsin(q, out=q)
+        h = 2.0 * np.pi * a2 + 4.0 * (a1 - a2) * (half_fiber @ wx)
+    # Jacobian r^2/2 times 2 h (alpha over (-pi, pi))
+    return float(np.sum(wr * r * r * h))
+
+
 def _cone_ball(az: float, aw: float, rho: float, r_hi: float | None, n: int) -> float:
     """Measure of B_rho(center) on the cone surface, parameter r < r_hi.
 
-    az, aw: center coordinate moduli; the center norm is R = hypot(az, aw).
-    Exact beta-fiber length and alpha-window; midpoint over (r, alpha-scaled).
+    az, aw: center coordinate moduli.  n: ceiling on the measured node count
+    per piece.
     """
-    R = float(np.hypot(az, aw))
-    lo, hi = max(0.0, R - rho), R + rho
+    # some beta-fiber is nonempty iff (r - (az + aw)/sqrt2)^2 < rho^2 - (az - aw)^2/2
+    dm = abs(az - aw) / _SQ2
+    if rho <= dm:
+        return 0.0
+    cp, half = (az + aw) / _SQ2, np.sqrt((rho - dm) * (rho + dm))
+    lo, hi = max(0.0, cp - half), cp + half
     if r_hi is not None:
         hi = min(hi, r_hi)
     if hi <= lo:
         return 0.0
-    r = lo + (np.arange(n) + 0.5) / n * (hi - lo)
-    dr = (hi - lo) / n
-    base = r * r + R * R - rho * rho
+    return _measured(lambda m: _cone_rule(az, aw, rho, lo, hi, m), n, (az, aw, rho))
 
-    # alpha half-window: fiber nonempty iff sqrt2 r az cos(da) > base - sqrt2 r aw
-    q = base - _SQ2 * r * aw
-    den = _SQ2 * r * az
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(den > 1e-300, q / den, np.where(q < 0.0, -np.inf, np.inf))
-    halfw = np.arccos(np.clip(g, -1.0, 1.0))  # 0 when the window is empty
 
-    live = halfw > 0.0
-    r, base, halfw = r[live], base[live], halfw[live]
-    # the integrand is even in the scaled alpha offset u_j = (2j + 1 - n)/n:
-    # evaluate u >= 0 at weight 2 (the node u = 0 of odd n at weight 1)
-    u = (2.0 * np.arange((n + 1) // 2) + (1 - n % 2)) / n
-    weight = np.full(u.size, 2.0)
-    weight[0] -= n % 2
-    # beta-fiber argument c = A - B cos(halfw u); at aw = 0 only the sign of
-    # A - B cos(.) matters: the fiber is the full circle where it is negative
-    flat = aw < 1e-300
-    if flat:
-        A, B = base, _SQ2 * r * az
-    else:
-        A, B = base / (_SQ2 * r * aw), np.full(r.size, az / aw)
-
-    half_blen = np.empty(r.size)  # per row: sum_j weight_j arccos(clip(c_j))
-    buf = np.empty((min(_BLOCK_ROWS, r.size), u.size))
-    for start in range(0, r.size, _BLOCK_ROWS):
-        rows = slice(start, min(start + _BLOCK_ROWS, r.size))
-        c = buf[: rows.stop - start]
-        np.multiply(halfw[rows, None], u, out=c)
-        np.cos(c, out=c)
-        c *= -B[rows, None]
-        c += A[rows, None]
-        if flat:
-            half_blen[rows] = np.pi * ((c < 0.0) @ weight)
-        else:
-            np.clip(c, -1.0, 1.0, out=c)
-            np.arccos(c, out=c)
-            half_blen[rows] = c @ weight
-    alpha_int = 2.0 * half_blen * (2.0 * halfw / n)
-    return float(np.sum(0.5 * r * r * alpha_int) * dr)
+def _segment(x: np.ndarray) -> np.ndarray:
+    """x - sin(x) for x in [0, 2 pi]; below 1 by its Taylor series, which
+    does not cancel."""
+    out = x - np.sin(x)
+    small = x < 1.0
+    if small.any():
+        xs = x[small]
+        x2 = xs * xs
+        term = xs * x2 / 6.0
+        total = term.copy()
+        for k in range(5, 18, 2):  # the first omitted term is below 1e-16 of the sum
+            term *= -x2 / ((k - 1) * k)
+            total += term
+        out[small] = total
+    return out
 
 
 def _lens_area(big: float, small: np.ndarray, dist: float) -> np.ndarray:
     """Intersection area of a disk of radius ``big`` at 0 and disks of radii
-    ``small`` centered at distance ``dist``; vectorized over ``small``."""
+    ``small`` centered at distance ``dist``; vectorized over ``small``.
+
+    A lens is two circular segments, big^2 (2a - sin 2a)/2 + r^2 (2b - sin 2b)/2
+    with a, b the half-angles at the two centers, from atan2 and Heron's
+    product; no step cancels, so thin lenses keep their relative accuracy.
+    """
     small = np.asarray(small, dtype=float)
     out = np.zeros_like(small)
     pos = small > 0.0
@@ -141,34 +244,42 @@ def _lens_area(big: float, small: np.ndarray, dist: float) -> np.ndarray:
     vals[full] = np.pi * np.minimum(big, r[full]) ** 2
     if mid.any():
         rm = r[mid]
-        c1 = np.clip((dist**2 + big**2 - rm**2) / (2.0 * dist * big), -1.0, 1.0)
-        c2 = np.clip((dist**2 + rm**2 - big**2) / (2.0 * dist * rm), -1.0, 1.0)
-        tri = (-dist + rm + big) * (dist + rm - big) * (dist - rm + big) * (dist + rm + big)
-        vals[mid] = (
-            big**2 * np.arccos(c1)
-            + rm**2 * np.arccos(c2)
-            - 0.5 * np.sqrt(np.maximum(tri, 0.0))
-        )
+        tri = ((big - dist) + rm) * ((dist - big) + rm) * ((dist + big) - rm) * (dist + big + rm)
+        root = np.sqrt(np.maximum(tri, 0.0))
+        a = np.arctan2(root, (dist - rm) * (dist + rm) + big * big)
+        b = np.arctan2(root, (dist - big) * (dist + big) + rm * rm)
+        vals[mid] = 0.5 * (big * big * _segment(2.0 * a) + rm * rm * _segment(2.0 * b))
     out[pos] = vals
     return out
 
 
+def _cyl_rule(az: float, aw: float, base: float, halfw: float, n: int) -> float:
+    """One cylinder-ball value with n nodes per piece of beta in (0, halfw);
+    the squared fiber radius rho^2 - |e^{i beta} - aw|^2 is base - 4 aw sin^2(beta/2)."""
+    cuts = [0.0, halfw]
+    if aw > 0.0:
+        # the lens changes type where the fiber radius is |1 - az| or 1 + az
+        for edge in (abs(1.0 - az), 1.0 + az):
+            q = (base - edge * edge) / (4.0 * aw)  # sin^2(beta/2) there
+            if 0.0 < q < 1.0:
+                cuts.append(2.0 * float(np.arcsin(np.sqrt(q))))
+    cuts = [b for b in cuts if b <= halfw]
+    beta, wb = _split_rule(sorted(set(cuts)), n)
+    radii = np.sqrt(np.maximum(base - 4.0 * aw * np.sin(0.5 * beta) ** 2, 0.0))
+    return float(2.0 * (_lens_area(1.0, radii, az) @ wb))  # the integrand is even in beta
+
+
 def _cyl_ball(az: float, aw: float, rho: float, n: int) -> float:
-    """Measure of B_rho(center) on the cylinder {|z| < 1, |w| = 1}."""
-    if aw < 1e-300:
-        if rho * rho <= 1.0:
-            return 0.0
-        halfw = np.pi
-    else:
-        g = (1.0 + aw * aw - rho * rho) / (2.0 * aw)
-        if g >= 1.0:
-            return 0.0
-        halfw = np.arccos(max(-1.0, g))
-    db = (np.arange(n) + 0.5) / n * 2.0 * halfw - halfw
-    fiber_sq = rho * rho - (1.0 + aw * aw - 2.0 * aw * np.cos(db))
-    radii = np.sqrt(np.maximum(fiber_sq, 0.0))
-    areas = _lens_area(1.0, radii, az)
-    return float(areas.sum() * (2.0 * halfw / n))
+    """Measure of B_rho(center) on the cylinder {|z| < 1, |w| = 1}.
+
+    n: ceiling on the measured node count per piece.
+    """
+    base = (rho - abs(1.0 - aw)) * (rho + abs(1.0 - aw))  # squared fiber radius at beta = 0
+    if base <= 0.0:
+        return 0.0
+    q = base / (4.0 * aw) if aw > 0.0 else np.inf  # sin^2(halfw/2)
+    halfw = 2.0 * float(np.arcsin(np.sqrt(q))) if q < 1.0 else np.pi
+    return _measured(lambda m: _cyl_rule(az, aw, base, halfw, m), n, (az, aw, rho))
 
 
 def f_profile(t: float, spec: QuadratureSpec) -> float:
@@ -210,7 +321,7 @@ def sigma_ball_bT(p: PolarPoint, rho: float, spec: QuadratureSpec) -> float:
         raise ValueError("rho must lie in (0, 2*sqrt(2)]")
     n = spec.surface_cells
     cone = _cone_ball(p.r, p.s, rho, _SQ2, n)
-    cyl = _cyl_ball(p.r, p.s, rho, 4 * n)
+    cyl = _cyl_ball(p.r, p.s, rho, n)
     return cone + cyl
 
 

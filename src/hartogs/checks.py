@@ -71,13 +71,13 @@ GATES = {
         "|r1-r2|+|s1-s2|+min(r1,r2)*|da|+min(s1,s2)*|db| <= 3*|p1-p2| for wrapped angle differences",
         "le", 1.0, 0.0),
     "adr.profile.origin": Gate(
-        "unit-ball measure of the cone boundary at the apex equals 2*pi^2/3", "rel", 2.0 * np.pi**2 / 3.0, 1e-4),
+        "unit-ball measure of the cone boundary at the apex equals 2*pi^2/3", "rel", 2.0 * np.pi**2 / 3.0, 1e-10),
     "adr.profile.limit": Gate(
         "unit-ball measure of the cone boundary tends to 4*pi/3 far from the apex", "rel", 4.0 * np.pi / 3.0, 1e-2),
     "adr.dilation": Gate("sigma(B_rho(p) cap cone boundary) = rho^3 * f(|p|/rho)", "abs", 0.0, 1e-2),
     "adr.total": Gate(
         "sigma(bT) = (4*sqrt2/3 + 2)*pi^2, attained by any ball of radius diam T = 2*sqrt2",
-        "rel", float(boundary.SIGMA_BT_TOTAL), 1e-3),
+        "rel", float(boundary.SIGMA_BT_TOTAL), 1e-10),
     "adr.scan.min": Gate(
         "sigma(B_rho(p) cap bT)/rho^3 stays above the frozen window floor (lower regularity)",
         "ge", boundary.ADR_WINDOW[0], 0.0),
@@ -96,7 +96,8 @@ GATES = {
     "bergman.kernel.hermitian": Gate("truncated kernel satisfies K(p,q) = conj(K(q,p))", "abs", 0.0, 1e-12),
     "dbar.norm.anchor": Gate("||dbar u_1||_{L^2(T)} = pi/2 for u = 1/w", "rel", np.pi / 2.0, 1e-9),
     "dbar.scaling": Gate(
-        "||dbar u_delta||^2 = delta * ||dbar u_1||^2 (squared norm linear in delta)", "abs", 0.0, 1e-6),
+        "||dbar u_delta||^2 = pi^2*delta/(4*(j+1)) = delta * ||dbar u_1||^2 (squared norm linear in delta)",
+        "abs", 0.0, 1e-6),
     "dbar.gap.monotone": Gate("||u_delta - u|| decreases strictly as delta halves from 1/2 to 2^-8", "lt", 1.0, 0.0),
     "dbar.gap.decay": Gate(
         "||u_delta - u|| -> 0: the delta=2^-8 gap is below 10% of the delta=1/2 gap", "lt", 0.1, 0.0),
@@ -312,11 +313,15 @@ def run_dbar(params: RunParams) -> list[CheckRow]:
     anchor = dbar.dbar_u_delta_norm(dbar.DeltaFamilySpec(j=0, delta=1.0), spec)
     rows.append(_row("dbar.norm.anchor", {"j": 0, "delta": 1.0}, anchor))
 
+    # each squared norm against pi^2 delta/(4(j+1)); the ratio to delta = 1 as a consistency sub-check
     errs = []
     for j in (0, 1, 2):
         n1 = dbar.dbar_u_delta_norm(dbar.DeltaFamilySpec(j=j, delta=1.0), spec)
+        exact1 = np.pi**2 / (4.0 * (j + 1))
+        errs.append(abs(n1**2 - exact1) / exact1)
         for delta in params.deltas:
             nd = dbar.dbar_u_delta_norm(dbar.DeltaFamilySpec(j=j, delta=delta), spec)
+            errs.append(abs(nd**2 - delta * exact1) / (delta * exact1))
             errs.append(abs(nd**2 / n1**2 - delta) / delta)
     rows.append(_row("dbar.scaling", {"deltas": list(params.deltas), "j": [0, 1, 2]}, np.max(errs)))
 

@@ -25,7 +25,7 @@ COMMANDS = ("uniform", "adr", "bergman", "dbar", "spectrum", "all")
 _OPTIONS = {
     "--seed": ("seed", dict(type=int, help="base RNG seed (sub-seeds are fixed offsets)")),
     "--level": ("level", dict(type=int, help="tensor quadrature level per axis")),
-    "--surface-cells": ("surface_cells", dict(type=int, help="cells for boundary-ball quadrature")),
+    "--surface-cells": ("surface_cells", dict(type=int, help="ceiling on nodes per piece of the boundary-ball rules (>= 64)")),
     "--shell-level": ("shell_level", dict(type=int, help="nodes for shell and profile quadrature")),
     "--domain": ("domain", dict(choices=("T", "T_infinity", "both"), help="domain for the uniform battery")),
     "--pairs": ("pairs", dict(type=int, help="random endpoint pairs for curve verification")),

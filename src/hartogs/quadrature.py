@@ -76,8 +76,10 @@ class QuadratureSpec:
     """Controls every integral in the package; the determinism anchor.
 
     level: per-axis node count of the tensor rule on T.
-    surface_cells: per-axis midpoint cells for boundary-measure integrals
-        (indicator-type integrands; Gauss rules are wrong for those).
+    surface_cells: ceiling on the nodes per piece of the boundary-ball rules.
+        Each ball measures its own node count, doubling from 32 until two
+        rules agree (see :mod:`hartogs.boundary`); at least 64, so that one
+        doubling fits.
     shell_level: Gauss t-nodes of the thin-shell cutoff integrals; theta
         uses max(16, shell_level // 3) Gauss nodes, each angle 12 nodes.
     """
@@ -89,8 +91,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.level < 1:
             raise ValueError("level must be >= 1")
-        if self.surface_cells < 8:
-            raise ValueError("surface_cells must be >= 8")
+        if self.surface_cells < 64:
+            raise ValueError("surface_cells must be >= 64")
         if self.shell_level < 4:
             raise ValueError("shell_level must be >= 4")
 

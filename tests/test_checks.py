@@ -30,10 +30,10 @@ PINNED = {
     "uniform.triangle.cigar": ("le", 79.73857507077896, 0.0),
     "uniform.triangle.containment": ("gt", 0.0, 0.0),
     "uniform.polar_bound": ("le", 1.0, 0.0),
-    "adr.profile.origin": ("rel", 6.579736267392906, 0.0001),
+    "adr.profile.origin": ("rel", 6.579736267392906, 1e-10),
     "adr.profile.limit": ("rel", 4.1887902047863905, 0.01),
     "adr.dilation": ("abs", 0.0, 0.01),
-    "adr.total": ("rel", 38.34951333454906, 0.001),
+    "adr.total": ("rel", 38.34951333454906, 1e-10),
     "adr.scan.min": ("ge", 0.3, 0.0),
     "adr.scan.max": ("le", 30.0, 0.0),
     "adr.scan.refinement": ("le", 16.0, 0.0),
@@ -189,6 +189,21 @@ def test_scaled_cutoff_profile_fails_the_shell_rows(monkeypatch, small_rows):
     monkeypatch.setattr(dbar, "smoothstep_deriv", lambda x: original(x) * (1.0 + 1e-6))
     spoiled = {row.check_id: row for row in run_command("dbar", SMALL)}
     assert [check_id for check_id in rows if spoiled[check_id].passed] == []
+
+
+@pytest.mark.parametrize("nth", [None, 4])
+def test_norm_off_by_1e3_fails_scaling(monkeypatch, small_rows, nth):
+    # the row compares each squared norm with pi^2 delta/(4(j+1)); scaling every
+    # norm alike (nth None) leaves each ratio to delta = 1 exact, one call does not
+    assert small_rows["dbar.scaling"].passed
+    if nth is None:
+        original = dbar.dbar_u_delta_norm
+        monkeypatch.setattr(dbar, "dbar_u_delta_norm", lambda fspec, quad: original(fspec, quad) * (1.0 + 1e-3))
+    else:
+        _spoil_call(monkeypatch, dbar, "dbar_u_delta_norm", nth, lambda norm: norm * (1.0 + 1e-3))
+    rows = {row.check_id: row for row in run_command("dbar", SMALL)}
+    assert not rows["dbar.scaling"].passed
+    assert rows["dbar.scaling"].observed == pytest.approx(2e-3, rel=1e-2)
 
 
 def test_nan_galerkin_source_fails(monkeypatch, small_rows):

@@ -130,6 +130,7 @@ def test_out_of_range_flag_exits_2(tmp_path, capsys):
     out = tmp_path / "r.json"
     for argv in (
         ["adr", "--surface-cells", "4"],
+        ["adr", "--surface-cells", "32"],
         ["uniform", "--pairs", "0"],
         ["spectrum", "--grid", "4"],
         ["spectrum", "--poincare-grid", "4"],

@@ -60,6 +60,9 @@ def test_spec_validation():
         QuadratureSpec(level=0)
     with pytest.raises(ValueError):
         QuadratureSpec(surface_cells=2)
+    with pytest.raises(ValueError, match="surface_cells must be >= 64"):
+        QuadratureSpec(surface_cells=63)  # no room for one doubling from 32 nodes per piece
+    assert QuadratureSpec(surface_cells=64).surface_cells == 64
 
 
 def test_volume(spec24):
