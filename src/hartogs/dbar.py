@@ -41,6 +41,17 @@ the interesting content is the size of the factors.  In shell coordinates
 is independent of delta, and for f with |f| ~ |w|^{-1} the left side is also
 delta-independent (|w|^{-1} is exactly borderline: its fourth power is not
 integrable on T, which the report flags).
+
+The shell's t-rule is split where chi_delta is.  On (delta, 2 delta), with
+t = delta (1 + x), |dbar chi|^2 = S'(x)^2 / (4 delta^2) is a polynomial of
+degree 8 in x, so the radial factors S'^2 t^3 (f = 1), S'^4 t^3 (the first
+factor) and S'^2 t (|f| = 1/|w|) have degrees 11, 19 and 9, and 10 Gauss
+nodes integrate each exactly.  dchi_delta vanishes on (0, delta), where only
+int |f|^4 is left; there the nodes are log-graded, t = delta e^{-y} with
+dt = t dy, as in the u_delta profile above.  The sum over y in (0, Y) is the
+integral up to a tail of e^{-4Y} relative for bounded f; for |f| = 1/|w| the
+integrand t^4 |f|^4 is constant in y, so the sum grows linearly in Y.
+Comparing the sums to Y and to 2Y is the divergence probe.
 """
 
 from __future__ import annotations
@@ -222,6 +233,16 @@ def dchi_delta(delta: float, p: PolarPoint) -> np.ndarray:
     return (g / t) * np.array([z.real, z.imag, w.real, w.imag])
 
 
+#: The cutoff shell's t-rule (see the module docstring): Gauss nodes on the
+#: outer layer (delta, 2 delta), exact there for radially polynomial |f|^2, and
+#: checked against twice as many at relative _OUTER_RTOL; Gauss nodes per panel
+#: of the log layer t = delta e^{-y}, and the panel length Y in y.
+_OUTER_NODES = 10
+_OUTER_RTOL = 1e-11
+_LOG_NODES = 24
+_LOG_DEPTH = 12.0
+
+
 @dataclass(frozen=True)
 class CutoffReport:
     """Both sides of the shell Cauchy-Schwarz estimate at one (f, delta)."""
@@ -240,15 +261,26 @@ def cutoff_commutator_check(f, delta: float, quad: QuadratureSpec) -> CutoffRepo
 
     With shared nodes and positive weights, lhs <= rhs is the discrete
     Cauchy-Schwarz inequality and holds for every f; the report carries the
-    factor sizes.  A refinement probe flags fields whose fourth power fails
-    to be integrable (growth > 1% when the t-nodes double).
+    factor sizes.  A probe flags fields whose fourth power fails to be
+    integrable: the log-layer sum over y in (Y, 2Y) exceeds 1% of int |f|^4.
 
-    Nodes: Gauss in t on (0, 2 delta) and theta on (pi/4, pi/2), with
-    (r, s) = t (cos theta, sin theta) and weight t^3 sin cos (sizes in
-    ``QuadratureSpec.shell_level``).  ``quadrature._grid_slabs`` evaluates f in
-    t-slabs, each kept as its angular sums of |f|^2 and |f|^4; the weight and
-    the t-only |dbar chi_delta|^2 = (S'((t - delta)/delta)/(2 delta))^2 apply
-    after the loop, so the first factor is a product of 1-D sums.
+    Nodes: (r, s) = t (cos theta, sin theta) with weight t^3 sin cos, Gauss
+    in theta on (pi/4, pi/2) (max(16, ``QuadratureSpec.shell_level`` // 3)
+    nodes) and 12 midpoint nodes per angle.  The t-rule does not depend on
+    ``shell_level``; it is the split rule of the module docstring, in four
+    blocks of rows: t = delta (1 + x) at 10 Gauss x-nodes, the same at 20,
+    and t = delta e^{-y} at 24 Gauss y-nodes on each of (0, Y) and (Y, 2Y),
+    Y = 12.  The report uses the 10-node outer rule and the log layer to Y.
+
+    Raises ValueError, naming delta and both values, when lhs or the outer
+    int |f|^4 at 10 and 20 nodes differ by more than 1e-11 relative: the
+    10-node rule is exact when |f|^2 is radially polynomial on the outer
+    layer, and a field for which it is not fails loudly instead of being
+    integrated inexactly.
+
+    ``quadrature._grid_slabs`` evaluates f once on all rows, in t-slabs, each
+    kept as its angular sums of |f|^2 and |f|^4; the weights and the t-only
+    |dbar chi_delta|^2 apply after the loop.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2] so the shell stays in T")
@@ -258,25 +290,34 @@ def cutoff_commutator_check(f, delta: float, quad: QuadratureSpec) -> CutoffRepo
     wth = wth * np.sin(th) * np.cos(th)
     ang, wang = _angular_nodes(nang)
 
-    def shell_sums(nt):
-        t, wt = _gl_unit(nt)
-        t, wt = 2.0 * delta * t, 2.0 * delta * wt
-        f2 = np.empty((nt, nth))
-        f4 = np.empty((nt, nth))
-        for rows, vals in _grid_slabs(f, t[:, None] * np.cos(th), t[:, None] * np.sin(th), ang):
-            a2 = np.abs(vals) ** 2
-            f2[rows] = np.einsum("ijkl->ij", a2)
-            f4[rows] = np.einsum("ijkl,ijkl->ij", a2, a2)
-            del vals, a2  # free slab k before f runs on slab k + 1
-        wt = wt * t**3
-        W = wt[:, None] * wth * wang * wang
-        dchi2 = (smoothstep_deriv((t - delta) / delta) / (2.0 * delta)) ** 2
-        quart = np.sum(dchi2**2 * wt) * np.sum(wth) * (nang * wang) ** 2
-        return float(np.sum(dchi2[:, None] * f2 * W)), float(quart), float(np.sum(f4 * W))
+    outer = [_gl_unit(n) for n in (_OUTER_NODES, 2 * _OUTER_NODES)]
+    u, wu = _gl_unit(_LOG_NODES)
+    t_log = delta * np.exp(-np.concatenate([u, 1.0 + u]) * _LOG_DEPTH)
+    t = np.concatenate([delta * (1.0 + x) for x, _ in outer] + [t_log])
+    wt = np.concatenate([delta * wx for _, wx in outer] + [np.tile(_LOG_DEPTH * wu, 2) * t_log])
+    f2 = np.empty((t.size, nth))
+    f4 = np.empty((t.size, nth))
+    for rows, vals in _grid_slabs(f, t[:, None] * np.cos(th), t[:, None] * np.sin(th), ang):
+        a2 = np.abs(vals) ** 2
+        f2[rows] = np.einsum("ijkl->ij", a2)
+        f4[rows] = np.einsum("ijkl,ijkl->ij", a2, a2)
+        del vals, a2  # free slab k before f runs on slab k + 1
+    wt = wt * t**3
+    W = wt[:, None] * wth * wang * wang
 
-    lhs, quart, fquart = shell_sums(quad.shell_level)
-    fquart_fine = shell_sums(2 * quad.shell_level)[2]
-    diverges = fquart_fine - fquart > 0.01 * max(fquart, 1e-300)
+    # row blocks: outer rule, its doubling, log layer to Y, log layer from Y to 2Y
+    ends = np.cumsum([_OUTER_NODES, 2 * _OUTER_NODES, _LOG_NODES])
+    l4 = [float(np.sum(b)) for b in np.split(f4 * W, ends)]
+    dchi2 = [(smoothstep_deriv(x) / (2.0 * delta)) ** 2 for x, _ in outer]
+    lhs = [float(np.sum(d[:, None] * b)) for d, b in zip(dchi2, np.split(f2 * W, ends))]
+    for name, a, b in (("lhs", *lhs), ("outer int |f|^4", *l4[:2])):
+        if not abs(a - b) <= _OUTER_RTOL * abs(b):
+            raise ValueError(f"cutoff shell at delta={delta!r}: {name} is {a!r} at {_OUTER_NODES} outer "
+                             f"t-nodes and {b!r} at {2 * _OUTER_NODES}; |f|^2 is not radially polynomial "
+                             f"on (delta, 2 delta)")
+    quart = np.sum(dchi2[0] ** 2 * wt[:_OUTER_NODES]) * np.sum(wth) * (nang * wang) ** 2
+    fquart = l4[0] + l4[2]
+    diverges = l4[3] > 0.01 * max(fquart, 1e-300)
     first, second = np.sqrt(quart), np.sqrt(fquart)
-    return CutoffReport(delta=float(delta), lhs=lhs, rhs=float(first * second), first_factor=float(first),
+    return CutoffReport(delta=float(delta), lhs=lhs[0], rhs=float(first * second), first_factor=float(first),
                         second_factor=float(second), l4_diverges=bool(diverges))

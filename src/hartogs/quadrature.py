@@ -80,8 +80,10 @@ class QuadratureSpec:
         Each ball measures its own node count, doubling from 32 until two
         rules agree (see :mod:`hartogs.boundary`); at least 64, so that one
         doubling fits.
-    shell_level: Gauss t-nodes of the thin-shell cutoff integrals; theta
-        uses max(16, shell_level // 3) Gauss nodes, each angle 12 nodes.
+    shell_level: theta nodes of the cutoff shell, max(16, shell_level // 3)
+        Gauss nodes (each angle 12 nodes; the t-rule is fixed, see
+        :func:`hartogs.dbar.cutoff_commutator_check`), and the Gauss nodes
+        of the dbar profile integrals, at least 64.
     """
 
     level: int = 32

@@ -269,7 +269,7 @@ def test_criterion_10_cutoff_estimate():
     )
     closed = 15.0 * math.pi**2 * math.log(2.0) / 14.0
     for rep in rough:
-        assert abs(rep.lhs - closed) <= 1e-6 * closed, (
+        assert abs(rep.lhs - closed) <= 1e-12 * closed, (
             f"shell energy for f = 1/w is {rep.lhs!r} at delta={rep.delta}, "
             f"expected 15 pi^2 ln 2 / 14 = {closed!r}"
         )

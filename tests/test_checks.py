@@ -48,9 +48,9 @@ PINNED = {
     "dbar.gap.decay": ("lt", 0.1, 0.0),
     "dbar.cutoff.gradbound": ("le", 1.875, 1e-09),
     "dbar.cutoff.cs": ("le", 1.0, 0.0),
-    "dbar.cutoff.firstfactor": ("abs", 0.0, 1e-08),
-    "dbar.cutoff.decay.smooth": ("abs", 0.0, 1e-06),
-    "dbar.cutoff.borderline": ("abs", 0.0, 1e-06),
+    "dbar.cutoff.firstfactor": ("abs", 0.0, 1e-12),
+    "dbar.cutoff.decay.smooth": ("abs", 0.0, 1e-12),
+    "dbar.cutoff.borderline": ("abs", 0.0, 1e-12),
     "spectrum.zero": ("abs", 0.0, 1e-08),
     "spectrum.kernel": ("gt", 1.0, 0.0),
     "spectrum.gap.stability": ("abs", 0.0, 0.01),
@@ -179,6 +179,16 @@ def test_one_nan_case_fails_its_row(monkeypatch, small_rows, battery, module, na
     _spoil_call(monkeypatch, module, name, nth, spoil)
     rows = {row.check_id: row for row in run_command(battery, SMALL)}
     assert [check_id for check_id in failing if rows[check_id].passed] == []
+
+
+# calls alternate the fields one, winv per delta: call 2 is one, call 3 is winv, at delta 2^-3
+@pytest.mark.parametrize("nth", [2, 3])
+def test_flipped_l4_flag_fails_borderline(monkeypatch, small_rows, nth):
+    assert small_rows["dbar.cutoff.borderline"].passed
+    _spoil_call(monkeypatch, dbar, "cutoff_commutator_check", nth,
+                lambda rep: dataclasses.replace(rep, l4_diverges=not rep.l4_diverges))
+    row = {row.check_id: row for row in run_command("dbar", SMALL)}["dbar.cutoff.borderline"]
+    assert not row.passed and row.observed == math.inf
 
 
 def test_scaled_cutoff_profile_fails_the_shell_rows(monkeypatch, small_rows):

@@ -29,6 +29,8 @@ from hartogs.quadrature import NonFiniteIntegrandError, QuadratureSpec, _angular
 SPEC = QuadratureSpec(level=24)
 ONE = lambda r, a, s, b: np.ones(np.broadcast(r, s).shape)
 WINV = lambda r, a, s, b: 1.0 / (s * np.exp(1j * b))
+# Mn = int_0^1 S'(x)^n (1+x)^3 dx for the quintic smoothstep, exact rationals
+M2, M4 = 765.0 / 154.0, 587250.0 / 46189.0
 SKEW = lambda r, a, s, b: (r * np.exp(1j * a) + 0.3) / (s * np.exp(1j * b)) + 1j * r * s * np.cos(2 * b - a)
 
 
@@ -235,26 +237,52 @@ def test_cutoff_smooth_field_quadratic_decay():
     reps = {d: cutoff_commutator_check(ONE, d, SPEC) for d in (0.2, 0.1, 0.05)}
     assert reps[0.1].lhs / reps[0.2].lhs == pytest.approx(0.25, rel=2e-2)
     assert reps[0.05].lhs / reps[0.1].lhs == pytest.approx(0.25, rel=2e-2)
-    # frozen profile constant for the quintic cutoff
-    assert reps[0.1].lhs == pytest.approx((np.pi**2 / 4) * 0.1**2 * 4.9675324675, rel=1e-6)
+    # closed form: (pi^2 delta^2 / 4) M2, M2 = int_0^1 S'^2 (1+x)^3 dx = 765/154 for the quintic cutoff
+    assert reps[0.1].lhs == pytest.approx((np.pi**2 / 4) * 0.1**2 * M2, rel=1e-12)
 
 
 def test_cutoff_first_factor_constant():
     vals = [cutoff_commutator_check(ONE, 2.0**-k, SPEC).first_factor for k in range(2, 9)]
     assert max(vals) / min(vals) - 1 < 1e-9  # scale-invariant by construction
-    assert vals[0] == pytest.approx(2.8004776705, rel=1e-6)
+    assert vals[0] == pytest.approx(np.pi / 4 * np.sqrt(M4), rel=1e-13)
 
 
 def test_cutoff_borderline_field_constant_lhs():
     vals = [cutoff_commutator_check(WINV, 2.0**-k, SPEC).lhs for k in range(2, 9)]
     assert max(vals) / min(vals) - 1 <= 1e-9
     # 4 pi^2 * (1/4) int_0^1 S'^2 (1+x) dx * int_{pi/4}^{pi/2} cot = 4 pi^2 (15/28) (ln 2)/2
-    assert vals[0] == pytest.approx(15 * np.pi**2 * np.log(2) / 14, rel=1e-6)
+    assert vals[0] == pytest.approx(15 * np.pi**2 * np.log(2) / 14, rel=1e-12)
 
 
 def test_cutoff_l4_divergence_flag():
     assert not cutoff_commutator_check(ONE, 0.1, SPEC).l4_diverges
     assert cutoff_commutator_check(WINV, 0.1, SPEC).l4_diverges
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_cutoff_probe_spares_bounded_singular_field(k):
+    # |f| = |w|^{-1/2}: |f|^4 = 1/|w|^2 is integrable, its log-layer tail is e^{-2Y}
+    rep = cutoff_commutator_check(lambda r, a, s, b: s**-0.5 * np.ones_like(r), 2.0**-k, SPEC)
+    assert not rep.l4_diverges
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_cutoff_one_field_closed_forms(k):
+    # int over B_{2 delta} cap T of 1 = 4 pi^2 (2 delta)^4/4 * int_{pi/4}^{pi/2} sin cos = 4 pi^2 delta^4,
+    # and lhs/rhs = (pi^2 delta^2/4) M2 / ((pi/4) sqrt(M4) * 2 pi delta^2) = M2/(2 sqrt(M4))
+    delta = 2.0**-k
+    rep = cutoff_commutator_check(ONE, delta, SPEC)
+    assert rep.second_factor == pytest.approx(2.0 * np.pi * delta**2, rel=1e-13)
+    assert M2 / (2.0 * np.sqrt(M4)) == pytest.approx(0.6965759658922468, rel=1e-15)
+    assert rep.lhs / rep.rhs == pytest.approx(0.6965759658922468, rel=1e-13)
+
+
+def test_cutoff_outer_rule_rejects_kinked_field():
+    # |f|^2 = |s - 1.5 delta| has a kink inside (delta, 2 delta): the 10- and 20-node outer rules disagree
+    delta = 0.1
+    kink = lambda r, a, s, b: np.sqrt(np.abs(s - 1.5 * delta)) * np.ones_like(r)
+    with pytest.raises(ValueError, match=r"delta=0\.1: lhs is .* at 10 outer t-nodes and .* at 20"):
+        cutoff_commutator_check(kink, delta, SPEC)
 
 
 def test_cutoff_delta_range():
@@ -265,7 +293,7 @@ def test_cutoff_delta_range():
 
 
 def test_cutoff_slabs_match_one_slab(monkeypatch):
-    spec = QuadratureSpec(level=24, shell_level=24)  # 24 x 16 x 12 x 12 nodes: one slab by default
+    spec = QuadratureSpec(level=24, shell_level=24)  # 78 x 16 x 12 x 12 nodes: one slab by default
     whole = {(f, d): cutoff_commutator_check(f, d, spec) for f in (ONE, WINV) for d in (0.3, 2.0**-6)}
     monkeypatch.setattr(quadrature, "_SLAB_NODES", 5 * 16 * 12 * 12)  # t-slabs of 5 rows, ragged last
     for (f, d), ref in whole.items():
@@ -276,7 +304,8 @@ def test_cutoff_slabs_match_one_slab(monkeypatch):
 
 
 def test_cutoff_memory_is_slab_bound():
-    # at shell level 192 the refinement probe alone has 3.5e6 nodes per array
+    # at shell level 192 the 78 t-rows make 78 x 64 x 12 x 12 = 7.2e5 nodes, one slab:
+    # traced peak 18.2 MB
     spec = QuadratureSpec(shell_level=192)
     winv = lambda r, a, s, b: v_eval_arrays(0, -1, r, a, s, b)
     tracemalloc.start()
@@ -285,38 +314,47 @@ def test_cutoff_memory_is_slab_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48_000_000
+    assert peak < 26_000_000
 
 
-def shell_nodes(delta, nt, nth, nang):
-    """The cutoff check's node set: t, theta and angle nodes."""
-    t, wt = _gl_unit(nt)
+def shell_nodes(delta, nth, nang):
+    """The cutoff check's node set: t in four blocks (t = delta (1 + x) at 10 and
+    20 Gauss nodes, t = delta e^{-y} at 24 Gauss nodes on y in (0, 12) and on
+    (12, 24)), their dt-weights, theta and angle nodes."""
+    blocks = []
+    for n in (10, 20):
+        x, wx = _gl_unit(n)
+        blocks.append((delta * (1.0 + x), delta * wx))
+    u, wu = _gl_unit(24)
+    for y in (12.0 * u, 12.0 * (1.0 + u)):
+        t = delta * np.exp(-y)
+        blocks.append((t, 12.0 * wu * t))
     th, wth = _gl_unit(nth)
     ang, wang = _angular_nodes(nang)
-    return 2.0 * delta * t, 2.0 * delta * wt, np.pi / 4.0 + th * np.pi / 4.0, wth * np.pi / 4.0, ang, wang
+    return blocks, np.pi / 4.0 + th * np.pi / 4.0, wth * np.pi / 4.0, ang, wang
 
 
 def cutoff_broadcast_reference(f, delta, quad):
-    """Reference cutoff check: the whole shell grid at once, with the weight
-    and |dbar chi|^2 broadcast to every (t, theta, a, b) node."""
+    """Reference cutoff check: each block of the shell grid at once, with the
+    weight and |dbar chi|^2 broadcast to every (t, theta, a, b) node."""
     nth, nang = max(16, quad.shell_level // 3), 12
+    blocks, th, wth, ang, wang = shell_nodes(delta, nth, nang)
 
-    def pieces(nt):
-        t, wt, th, wth, ang, wang = shell_nodes(delta, nt, nth, nang)
+    def pieces(t, wt):
         T, TH = t[:, None, None, None], th[None, :, None, None]
         A, B = ang[None, None, :, None], ang[None, None, None, :]
-        shape = (nt, nth, nang, nang)
+        shape = (t.size, nth, nang, nang)
         W = (wt * t**3)[:, None, None, None] * (wth * np.sin(th) * np.cos(th))[None, :, None, None] * wang * wang
         W = np.broadcast_to(W, shape)
         dchi2 = np.broadcast_to((smoothstep_deriv((T - delta) / delta) / (2.0 * delta)) ** 2, shape)
         f2 = np.abs(np.broadcast_to(np.asarray(f(T * np.cos(TH), A, T * np.sin(TH), B)), shape)) ** 2
         return float(np.sum(dchi2 * f2 * W)), float(np.sum(dchi2**2 * W)), float(np.sum(f2**2 * W))
 
-    lhs, quart, fquart = pieces(quad.shell_level)
-    fine = pieces(2 * quad.shell_level)[2]
+    (lhs, quart, outer), _, (_, _, inner), (_, _, tail) = [pieces(*b) for b in blocks]
+    fquart = outer + inner
     first, second = np.sqrt(quart), np.sqrt(fquart)
     return CutoffReport(delta, lhs, float(first * second), float(first), float(second),
-                        bool(fine - fquart > 0.01 * max(fquart, 1e-300)))
+                        bool(tail > 0.01 * max(fquart, 1e-300)))
 
 
 @pytest.mark.parametrize("shell_level", [24, 96])
@@ -331,13 +369,15 @@ def test_cutoff_matches_broadcast_reference(shell_level):
                 assert getattr(rep, name) == pytest.approx(getattr(ref, name), rel=1e-14, abs=0.0)
 
 
-# t-row of the NaN: in the first slab, and in the ragged last slab (24 rows in slabs of 5)
-@pytest.mark.parametrize("row", [0, 1, 23])
+# t-row of the NaN in the 78 rows (slabs of 5): the first slab, the 20-node outer block,
+# the first log layer, and the ragged last slab in the second log layer
+@pytest.mark.parametrize("row", [0, 1, 23, 41, 77])
 def test_cutoff_non_finite_names_shell_node(monkeypatch, row):
     spec = QuadratureSpec(shell_level=24)
     monkeypatch.setattr(quadrature, "_SLAB_NODES", 5 * 16 * 12 * 12)
     delta = 0.3
-    t, _, th, _, ang, _ = shell_nodes(delta, 24, 16, 12)
+    blocks, th, _, ang, _ = shell_nodes(delta, 16, 12)
+    t = np.concatenate([b[0] for b in blocks])
     node = (float(t[row] * np.cos(th[5])), float(ang[7]), float(t[row] * np.sin(th[5])), float(ang[2]))
 
     def bad(r, a, s, b):
