@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from hartogs.checks import poincare_field_check
@@ -27,12 +28,20 @@ def test_build_mode_validation():
         build_mode(0, 0, 4)
 
 
+def max_asymmetry(K) -> float:
+    asym = sp.csr_matrix(K - K.T)
+    return float(abs(asym).max()) if asym.nnz else 0.0
+
+
 def test_forms_are_symmetric_and_sized():
     prob = build_mode(1, 2, 32)
     assert prob.size == 32 * 31 // 2
-    asym = sp.csr_matrix(prob.stiffness - prob.stiffness.T)
-    assert abs(asym).max() if asym.nnz else 0.0 <= 1e-12
+    assert max_asymmetry(prob.stiffness) <= 1e-12
     assert np.all(prob.mass.diagonal() > 0)
+    # the measure itself must see a small asymmetry
+    perturbed = prob.stiffness.tolil()
+    perturbed[3, 4] += 1e-3
+    assert max_asymmetry(perturbed) > 1e-12
 
 
 def test_constants_are_harmonic_in_zero_mode():
@@ -81,6 +90,25 @@ def test_frozen_eigenvalues():
         res = neumann_spectrum(l, m, 64, 2)
         lam = res.eigenvalues[1] if (l, m) == (0, 0) else res.eigenvalues[0]
         assert lam == pytest.approx(expected, rel=1e-5)
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+@pytest.mark.parametrize("l, m", [(0, 0), (1, 0), (0, 1), (2, 1)])
+def test_lowest_eigenvalues_match_dense_pencil(l, m, n):
+    # independent reference: LAPACK on the dense generalized pencil (K, M)
+    prob = build_mode(l, m, n)
+    ref = scipy.linalg.eigh(prob.stiffness.toarray(), np.diag(prob.mass.diagonal()),
+                            eigvals_only=True, subset_by_index=[0, 5])
+    got = _lowest_eigenvalues(prob, 6)
+    assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(np.abs(ref), 1.0))
+
+
+@pytest.mark.parametrize("l, m", [(0, 0), (1, 0)])
+def test_lowest_eigenvalues_rejects_nan_stiffness(l, m):
+    prob = build_mode(l, m, 16)
+    prob.stiffness.data[7] = np.nan
+    with pytest.raises(EigenSolverError, match=rf"mode \({l},{m}\) at n=16"):
+        _lowest_eigenvalues(prob, 2)
 
 
 def test_eigenvalues_grow():
