@@ -94,16 +94,18 @@ GATES = {
     "bergman.projection.antiholo": Gate(
         "the orthogonal projection onto the holomorphic block annihilates conj(z)", "abs", 0.0, 1e-8),
     "bergman.kernel.hermitian": Gate("truncated kernel satisfies K(p,q) = conj(K(q,p))", "abs", 0.0, 1e-12),
-    "dbar.norm.anchor": Gate("||dbar u_1||_{L^2(T)} = pi/2 for u = 1/w", "rel", np.pi / 2.0, 1e-9),
+    "dbar.norm.anchor": Gate("||dbar u_1||_{L^2(T)} = pi/2 for u = 1/w", "rel", np.pi / 2.0, 1e-12),
     "dbar.scaling": Gate(
         "||dbar u_delta||^2 = pi^2*delta/(4*(j+1)) = delta * ||dbar u_1||^2 (squared norm linear in delta)",
-        "abs", 0.0, 1e-6),
+        "abs", 0.0, 1e-12),
     "dbar.gap.monotone": Gate("||u_delta - u|| decreases strictly as delta halves from 1/2 to 2^-8", "lt", 1.0, 0.0),
     "dbar.gap.decay": Gate(
         "||u_delta - u|| -> 0: the delta=2^-8 gap is below 10% of the delta=1/2 gap", "lt", 0.1, 0.0),
     "dbar.cutoff.gradbound": Gate("|d chi_delta| <= (15/8)/delta everywhere", "le", 15.0 / 8.0, 1e-9),
     "dbar.cutoff.cs": Gate(
-        "int |dbar chi|^2 |f|^2 <= sqrt(int |dbar chi|^4) * sqrt(int |f|^4) on shared nodes", "le", 1.0, 0.0),
+        "int |dbar chi|^2 |f|^2 <= sqrt(int |dbar chi|^4) * sqrt(int |f|^4): for f = 1 the ratio of the sides is "
+        "M2/(2*sqrt(M4)), Mn = int_0^1 S'^n (1+x)^3 dx; for |f| = 1/|w| the bound holds on shared nodes",
+        "abs", 0.0, 1e-12),
     "dbar.cutoff.firstfactor": Gate(
         "(int over B_{2 delta} cap T of |dbar chi_delta|^4)^(1/2) = (pi/4)*sqrt(int_0^1 S'^4 (1+x)^3 dx) "
         "for every delta", "abs", 0.0, 1e-12),
@@ -339,6 +341,12 @@ def run_dbar(params: RunParams) -> list[CheckRow]:
         "winv": lambda r, a, s, b: bergman.v_eval_arrays(0, -1, r, a, s, b),
     }
     deltas = [2.0**-k for k in range(2, 9)]
+    # closed forms, no quadrature: with t = delta (1 + x), |dbar chi| = S'(x)/(2 delta) and
+    # dV = t^3 sin cos dt dtheta da db on theta in (pi/4, pi/2), the shell integrals are
+    # int |dbar chi|^4 = (pi^2/16) M4, int |dbar chi|^2 = (pi^2 delta^2/4) M2 and vol = 4 pi^2 delta^4,
+    # where Mn = int_0^1 S'(x)^n (1+x)^3 dx, S' = 30 x^2 (1-x)^2, integrates exactly as a polynomial
+    m2, m4 = 765.0 / 154.0, 587250.0 / 46189.0
+    cs_ref = m2 / (2.0 * np.sqrt(m4))  # lhs/rhs for f = 1
     cs = []
     first = []
     lhs_by = {name: [] for name in fields}
@@ -346,20 +354,18 @@ def run_dbar(params: RunParams) -> list[CheckRow]:
     for delta in deltas:
         for name, f in fields.items():
             rep = dbar.cutoff_commutator_check(f, delta, spec)
-            cs.append(rep.lhs / rep.rhs)
             lhs_by[name].append(rep.lhs)
             flags_by[name].append(rep.l4_diverges)
             if name == "one":
+                cs.append(abs(rep.lhs / rep.rhs / cs_ref - 1.0))
                 first.append(rep.first_factor)
+            elif not rep.lhs <= rep.rhs:  # NaN-safe
+                cs.append(np.inf)
     rows.append(_row("dbar.cutoff.cs", {"deltas": "2^-2..2^-8", "fields": sorted(fields)}, np.max(cs)))
-    # closed forms, no quadrature: with t = delta (1 + x), |dbar chi| = S'(x)/(2 delta) and
-    # dV = t^3 sin cos dt dtheta da db on theta in (pi/4, pi/2), the shell integrals are
-    # int |dbar chi|^4 = (pi^2/16) M4 and int |dbar chi|^2 = (pi^2 delta^2/4) M2, where
-    # Mn = int_0^1 S'(x)^n (1+x)^3 dx, S' = 30 x^2 (1-x)^2, integrates exactly as a polynomial
-    first_ref = np.pi / 4.0 * np.sqrt(587250.0 / 46189.0)  # M4
+    first_ref = np.pi / 4.0 * np.sqrt(m4)
     rows.append(_row("dbar.cutoff.firstfactor", {"deltas": "2^-2..2^-8"},
                      np.max([abs(v / first_ref - 1.0) for v in first])))
-    smooth_ref = np.pi**2 / 4.0 * (765.0 / 154.0)  # M2
+    smooth_ref = np.pi**2 / 4.0 * m2
     rows.append(_row("dbar.cutoff.decay.smooth", {"deltas": "2^-2..2^-8"},
                      np.max([abs(v / (smooth_ref * d * d) - 1.0) for v, d in zip(lhs_by["one"], deltas)])))
     # closed form: 4 pi^2 * (1/4) int_0^1 S'(x)^2 (1+x) dx * int_{pi/4}^{pi/2} cot = 4 pi^2 (15/28) (ln 2)/2

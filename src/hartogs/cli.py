@@ -26,7 +26,7 @@ _OPTIONS = {
     "--seed": ("seed", dict(type=int, help="base RNG seed (sub-seeds are fixed offsets)")),
     "--level": ("level", dict(type=int, help="tensor quadrature level per axis")),
     "--surface-cells": ("surface_cells", dict(type=int, help="ceiling on nodes per piece of the boundary-ball rules (>= 64)")),
-    "--shell-level": ("shell_level", dict(type=int, help="cutoff-shell theta nodes (max(16, n // 3)) and dbar profile nodes (at least 64)")),
+    "--shell-level": ("shell_level", dict(type=int, help="cutoff-shell theta nodes, max(16, n // 3); no other size reads it")),
     "--domain": ("domain", dict(choices=("T", "T_infinity", "both"), help="domain for the uniform battery")),
     "--pairs": ("pairs", dict(type=int, help="random endpoint pairs for curve verification")),
     "--polar-pairs": ("polar_pairs", dict(type=int, help="random pairs for the polar distance bound")),

@@ -19,9 +19,16 @@ and 0 outside (derivation: d/dwbar (w wbar)^{delta/2} = (delta/2)
     ||dbar u_delta||^2_{L^2(T)} = pi^2 delta / (4 (j+1)),
 
 so the squared norm is exactly linear in delta and the norm itself scales as
-sqrt(delta); at delta = 1, j = 0 the norm is pi/2.  The quadrature here uses
-the substitution s = delta e^{-y} because the radial profile s^{2 delta - 1}
-is nearly 1/s for small delta and stalls a plain Gauss rule on (0, delta).
+sqrt(delta); at delta = 1, j = 0 the norm is pi/2.
+
+The log layer.  The profile s^{2 delta - 1} is nearly 1/s for small delta
+and stalls a plain Gauss rule on (0, delta), so every integral on (0, delta)
+uses one rule in y, 24 Gauss nodes on each of (0, Y) and (Y, 2Y), Y = 12, on
+e^{-2y} times a bounded factor (tail below e^{-4Y}).  The profile is
+(1/delta) int e^{-2y} dy (s = delta e^{-y/delta}); the gap's radial integral
+is int e^{-2y} expm1(-delta y)^2 dy (s = delta e^{-y}); the cutoff shell
+below takes t = delta e^{-y}.  The r-fibers take j + 1 Gauss nodes, exactly.
+``QuadratureSpec.shell_level`` sets only the shell's theta nodes.
 
 The chi_delta cutoff.  chi_delta(p) = S((|p| - delta)/delta) with S the
 quintic smoothstep (S = 6x^5 - 15x^4 + 10x^3 on [0,1], clamped outside), so
@@ -47,11 +54,9 @@ t = delta (1 + x), |dbar chi|^2 = S'(x)^2 / (4 delta^2) is a polynomial of
 degree 8 in x, so the radial factors S'^2 t^3 (f = 1), S'^4 t^3 (the first
 factor) and S'^2 t (|f| = 1/|w|) have degrees 11, 19 and 9, and 10 Gauss
 nodes integrate each exactly.  dchi_delta vanishes on (0, delta), where only
-int |f|^4 is left; there the nodes are log-graded, t = delta e^{-y} with
-dt = t dy, as in the u_delta profile above.  The sum over y in (0, Y) is the
-integral up to a tail of e^{-4Y} relative for bounded f; for |f| = 1/|w| the
-integrand t^4 |f|^4 is constant in y, so the sum grows linearly in Y.
-Comparing the sums to Y and to 2Y is the divergence probe.
+int |f|^4 is left, on the log layer (dt = t dy).  For |f| = 1/|w| the
+integrand t^4 |f|^4 is constant in y, so the sum grows linearly in Y;
+comparing the sums to Y and to 2Y is the divergence probe.
 """
 
 from __future__ import annotations
@@ -119,39 +124,46 @@ def dbar_u_delta_eval(fspec: DeltaFamilySpec, p: PolarPoint) -> complex:
     return complex(base * (fspec.delta / 2.0) * (p.s / fspec.delta) ** fspec.delta / wbar)
 
 
-def _s_profile_integral(delta: float, n: int) -> float:
-    """int_0^delta s^{2 delta - 1} delta^{-2 delta} ds by Gauss nodes in the
-    log layer s = delta e^{-y}; truncation tail below 1e-17 relative."""
-    tau, wt = _gl_unit(n)
-    T = 40.0  # integral becomes int_0^T e^{-tau} dtau / (2 delta)
-    return float(np.sum(np.exp(-T * tau) * wt) * T / (2.0 * delta))
+#: The t-rules of the module docstring: the shell's outer Gauss nodes, checked
+#: against twice as many at relative _OUTER_RTOL; log-layer nodes per panel, Y.
+_OUTER_NODES = 10
+_OUTER_RTOL = 1e-11
+_LOG_NODES = 24
+_LOG_DEPTH = 12.0
+
+
+def _log_layer() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y and weights on (0, Y), then (Y, 2Y)."""
+    u, wu = _gl_unit(_LOG_NODES)
+    return np.concatenate([u, 1.0 + u]) * _LOG_DEPTH, np.tile(_LOG_DEPTH * wu, 2)
+
+
+def _x_moment(j: int) -> float:
+    """int_0^1 x^{2j+1} dx = 1/(2j+2), the r-fiber in x = r/s, exactly."""
+    x, wx = _gl_unit(j + 1)
+    return float(np.sum(x ** (2 * j + 1) * wx))
+
+
+def _s_profile_integral(delta: float) -> float:
+    """int_0^delta s^{2 delta - 1} delta^{-2 delta} ds = (1/delta) int_0^oo
+    e^{-2y} dy on the log layer, s = delta e^{-y/delta}."""
+    y, wy = _log_layer()
+    return float(np.sum(np.exp(-2.0 * y) * wy) / delta)
 
 
 def dbar_u_delta_norm(fspec: DeltaFamilySpec, quad: QuadratureSpec) -> float:
-    """L^2(T) norm of dbar u_delta, by quadrature of the closed form.
-
-    Radial fiber and log-layer substitutions as in the module docstring;
-    the r-fiber integral of (r/s)^{2j} r uses Gauss nodes in x = r/s.
-    """
-    n = max(64, quad.shell_level)
-    x, wx = _gl_unit(n)
-    ix = float(np.sum(x ** (2 * fspec.j + 1) * wx))  # = 1/(2j+2)
-    is_ = _s_profile_integral(fspec.delta, n)
+    """L^2(T) norm of dbar u_delta on the log layer; ``quad`` is not read."""
+    ix, is_ = _x_moment(fspec.j), _s_profile_integral(fspec.delta)
     return float(np.sqrt((2.0 * np.pi) ** 2 * (fspec.delta / 2.0) ** 2 * ix * is_))
 
 
 def l2_gap(fspec: DeltaFamilySpec, quad: QuadratureSpec) -> float:
-    """||u_delta - u||_{L^2(T)}; the difference lives on T_delta.
-
-    After r-reduction and s = delta*sigma the squared gap is
-    (2 pi)^2 delta^2/(2j+2) * int_0^1 sigma ((sigma^delta - 1)^2 dsigma.
-    """
-    n = max(128, 2 * quad.shell_level)
-    sig, wsig = _gl_unit(n)
-    x, wx = _gl_unit(n)
-    ix = float(np.sum(x ** (2 * fspec.j + 1) * wx))
-    radial = float(np.sum(sig * (sig**fspec.delta - 1.0) ** 2 * wsig))
-    return float(np.sqrt((2.0 * np.pi) ** 2 * fspec.delta**2 * ix * radial))
+    """||u_delta - u||_{L^2(T)}, whose square is (2 pi)^2 delta^2/(2j+2) times
+    int_0^1 sigma (sigma^delta - 1)^2 dsigma (s = delta sigma, the log layer in
+    sigma = e^{-y}); ``quad`` is not read."""
+    y, wy = _log_layer()
+    radial = float(np.sum(np.exp(-2.0 * y) * np.expm1(-fspec.delta * y) ** 2 * wy))
+    return float(np.sqrt((2.0 * np.pi) ** 2 * fspec.delta**2 * _x_moment(fspec.j) * radial))
 
 
 def w1_energy_u_delta(fspec: DeltaFamilySpec, quad: QuadratureSpec) -> float:
@@ -159,10 +171,9 @@ def w1_energy_u_delta(fspec: DeltaFamilySpec, quad: QuadratureSpec) -> float:
 
     Finite for every delta > 0: outside T_delta the integrand is that of
     u = v_{j,-1} cut at s > delta (a logarithm), inside it carries the
-    regularizing weight (s/delta)^{2 delta}.
+    regularizing weight (s/delta)^{2 delta}.  ``quad`` is not read.
     """
     j, delta = fspec.j, fspec.delta
-    n = max(64, quad.shell_level)
     four_pi2 = (2.0 * np.pi) ** 2
 
     # s > delta: |d/dz u|^2 + |d/dw u|^2 reduce to (j/2 + (j+1)/2)/s, whose
@@ -170,11 +181,10 @@ def w1_energy_u_delta(fspec: DeltaFamilySpec, quad: QuadratureSpec) -> float:
     outer = four_pi2 * (j / 2.0 + (j + 1) / 2.0) * np.log(1.0 / delta)
 
     # s < delta: weights (s/delta)^{2 delta} s^{2 delta - 1} profiles
-    is_ = _s_profile_integral(delta, n)
     cz = j / 2.0  # from j^2 * (r-fiber s^2/(2j))
     cw = (delta / 2.0 - 1.0 - j) ** 2 / (2.0 * j + 2.0)
     cbar = (delta / 2.0) ** 2 / (2.0 * j + 2.0)
-    inner = four_pi2 * (cz + cw + cbar) * is_
+    inner = four_pi2 * (cz + cw + cbar) * _s_profile_integral(delta)
     return float(outer + inner)
 
 
@@ -233,16 +243,6 @@ def dchi_delta(delta: float, p: PolarPoint) -> np.ndarray:
     return (g / t) * np.array([z.real, z.imag, w.real, w.imag])
 
 
-#: The cutoff shell's t-rule (see the module docstring): Gauss nodes on the
-#: outer layer (delta, 2 delta), exact there for radially polynomial |f|^2, and
-#: checked against twice as many at relative _OUTER_RTOL; Gauss nodes per panel
-#: of the log layer t = delta e^{-y}, and the panel length Y in y.
-_OUTER_NODES = 10
-_OUTER_RTOL = 1e-11
-_LOG_NODES = 24
-_LOG_DEPTH = 12.0
-
-
 @dataclass(frozen=True)
 class CutoffReport:
     """Both sides of the shell Cauchy-Schwarz estimate at one (f, delta)."""
@@ -266,11 +266,10 @@ def cutoff_commutator_check(f, delta: float, quad: QuadratureSpec) -> CutoffRepo
 
     Nodes: (r, s) = t (cos theta, sin theta) with weight t^3 sin cos, Gauss
     in theta on (pi/4, pi/2) (max(16, ``QuadratureSpec.shell_level`` // 3)
-    nodes) and 12 midpoint nodes per angle.  The t-rule does not depend on
-    ``shell_level``; it is the split rule of the module docstring, in four
-    blocks of rows: t = delta (1 + x) at 10 Gauss x-nodes, the same at 20,
-    and t = delta e^{-y} at 24 Gauss y-nodes on each of (0, Y) and (Y, 2Y),
-    Y = 12.  The report uses the 10-node outer rule and the log layer to Y.
+    nodes), 12 midpoint nodes per angle, and four blocks of t-rows, which do
+    not depend on ``shell_level``: t = delta (1 + x) at 10 and at 20 Gauss
+    x-nodes, and the two log-layer panels.  The report uses the 10-node
+    outer rule and the log layer to Y.
 
     Raises ValueError, naming delta and both values, when lhs or the outer
     int |f|^4 at 10 and 20 nodes differ by more than 1e-11 relative: the
@@ -291,10 +290,10 @@ def cutoff_commutator_check(f, delta: float, quad: QuadratureSpec) -> CutoffRepo
     ang, wang = _angular_nodes(nang)
 
     outer = [_gl_unit(n) for n in (_OUTER_NODES, 2 * _OUTER_NODES)]
-    u, wu = _gl_unit(_LOG_NODES)
-    t_log = delta * np.exp(-np.concatenate([u, 1.0 + u]) * _LOG_DEPTH)
+    y, wy = _log_layer()
+    t_log = delta * np.exp(-y)
     t = np.concatenate([delta * (1.0 + x) for x, _ in outer] + [t_log])
-    wt = np.concatenate([delta * wx for _, wx in outer] + [np.tile(_LOG_DEPTH * wu, 2) * t_log])
+    wt = np.concatenate([delta * wx for _, wx in outer] + [wy * t_log])
     f2 = np.empty((t.size, nth))
     f4 = np.empty((t.size, nth))
     for rows, vals in _grid_slabs(f, t[:, None] * np.cos(th), t[:, None] * np.sin(th), ang):

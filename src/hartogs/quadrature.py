@@ -83,9 +83,10 @@ class QuadratureSpec:
         rules agree (see :mod:`hartogs.boundary`); at least 64, so that one
         doubling fits.
     shell_level: theta nodes of the cutoff shell, max(16, shell_level // 3)
-        Gauss nodes (each angle 12 nodes; the t-rule is fixed, see
-        :func:`hartogs.dbar.cutoff_commutator_check`), and the Gauss nodes
-        of the dbar profile integrals, at least 64.
+        Gauss nodes (each angle 12 nodes), and nothing else.  The shell's
+        t-rule is fixed (see :func:`hartogs.dbar.cutoff_commutator_check`),
+        and the dbar profile and gap integrals use the fixed log layer of
+        :mod:`hartogs.dbar`.
     """
 
     level: int = 32

@@ -42,12 +42,12 @@ PINNED = {
     "bergman.projection.identity": ("abs", 0.0, 1e-06),
     "bergman.projection.antiholo": ("abs", 0.0, 1e-08),
     "bergman.kernel.hermitian": ("abs", 0.0, 1e-12),
-    "dbar.norm.anchor": ("rel", 1.5707963267948966, 1e-09),
-    "dbar.scaling": ("abs", 0.0, 1e-06),
+    "dbar.norm.anchor": ("rel", 1.5707963267948966, 1e-12),
+    "dbar.scaling": ("abs", 0.0, 1e-12),
     "dbar.gap.monotone": ("lt", 1.0, 0.0),
     "dbar.gap.decay": ("lt", 0.1, 0.0),
     "dbar.cutoff.gradbound": ("le", 1.875, 1e-09),
-    "dbar.cutoff.cs": ("le", 1.0, 0.0),
+    "dbar.cutoff.cs": ("abs", 0.0, 1e-12),
     "dbar.cutoff.firstfactor": ("abs", 0.0, 1e-12),
     "dbar.cutoff.decay.smooth": ("abs", 0.0, 1e-12),
     "dbar.cutoff.borderline": ("abs", 0.0, 1e-12),
@@ -189,6 +189,18 @@ def test_flipped_l4_flag_fails_borderline(monkeypatch, small_rows, nth):
                 lambda rep: dataclasses.replace(rep, l4_diverges=not rep.l4_diverges))
     row = {row.check_id: row for row in run_command("dbar", SMALL)}["dbar.cutoff.borderline"]
     assert not row.passed and row.observed == math.inf
+
+
+# calls alternate the fields one, winv per delta: call 2 is one, call 3 is winv, at delta 2^-3
+@pytest.mark.parametrize("nth, rhs, observed", [
+    (2, lambda rep: rep.rhs * (1.0 + 1e-9), pytest.approx(1e-9, rel=1e-3)),  # one: off its closed form
+    (3, lambda rep: _below(rep.lhs), math.inf),  # winv: the bound fails by one ulp
+])
+def test_cutoff_rhs_off_fails_cs(monkeypatch, small_rows, nth, rhs, observed):
+    assert small_rows["dbar.cutoff.cs"].passed
+    _spoil_call(monkeypatch, dbar, "cutoff_commutator_check", nth, lambda rep: dataclasses.replace(rep, rhs=rhs(rep)))
+    row = {row.check_id: row for row in run_command("dbar", SMALL)}["dbar.cutoff.cs"]
+    assert not row.passed and row.observed == observed
 
 
 def test_scaled_cutoff_profile_fails_the_shell_rows(monkeypatch, small_rows):

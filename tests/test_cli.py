@@ -251,6 +251,18 @@ def test_deltas_flag_parses_tuple(tmp_path):
     assert payload["config"]["deltas"] == [0.5, 0.25]
 
 
+def test_shell_level_sets_only_the_shell_theta_nodes(tmp_path):
+    # the profile and gap integrals take no size from --shell-level, so their rows are byte-identical
+    lines = {}
+    for level in ("4", "192"):
+        out = tmp_path / f"dbar-{level}.csv"
+        assert main(["dbar", "--format", "csv", "--shell-level", level, "--out", str(out)]) == 0
+        lines[level] = [line for line in out.read_bytes().splitlines()
+                        if line.startswith((b"dbar.norm.anchor,", b"dbar.scaling,", b"dbar.gap."))]
+    assert len(lines["4"]) == 4
+    assert lines["4"] == lines["192"]
+
+
 def test_parse_floats():
     assert _parse_floats("0.5,0.1") == (0.5, 0.1)
     assert _parse_floats(" 1 , 2 ") == (1.0, 2.0)

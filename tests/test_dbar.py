@@ -102,11 +102,12 @@ def test_dbar_norm_squared_ratio_is_delta():
             assert val**2 / base**2 == pytest.approx(delta, rel=1e-9)
 
 
-def test_dbar_norm_two_level_agreement():
-    fam = DeltaFamilySpec(j=1, delta=0.05)
-    lo = dbar_u_delta_norm(fam, QuadratureSpec(shell_level=96))
-    hi = dbar_u_delta_norm(fam, QuadratureSpec(shell_level=192))
-    assert lo == pytest.approx(hi, rel=1e-12)
+@pytest.mark.parametrize("shell_level", [4, 96, 192])
+def test_dbar_norm_two_level_agreement(shell_level):
+    # the log layer takes no size from the spec: every shell level gives the same values
+    fam, ref, spec = DeltaFamilySpec(j=1, delta=0.05), QuadratureSpec(), QuadratureSpec(shell_level=shell_level)
+    for fn in (dbar_u_delta_norm, l2_gap, w1_energy_u_delta):
+        assert fn(fam, spec) == fn(fam, ref)
 
 
 def test_dbar_closed_form_matches_finite_differences():
@@ -137,6 +138,14 @@ def test_dbar_vanishes_outside_shell():
 def test_gap_closed_forms():
     assert l2_gap(DeltaFamilySpec(j=0, delta=1.0), SPEC) == pytest.approx(np.pi / np.sqrt(6), rel=1e-10)
     assert l2_gap(DeltaFamilySpec(j=0, delta=0.5), SPEC) == pytest.approx(np.pi / np.sqrt(60), rel=1e-10)
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+@pytest.mark.parametrize("delta", [1e-3, 2.0**-8, 0.01, 0.1, 0.5, 1.0])
+def test_gap_factored_closed_form(j, delta):
+    # the squared gap pi^2 delta^4 / ((j+1)(1+delta)(2+delta)): 1/(2d+2) - 2/(d+2) + 1/2 factored, no cancellation
+    exact = np.pi * delta**2 / np.sqrt((j + 1) * (1.0 + delta) * (2.0 + delta))
+    assert l2_gap(DeltaFamilySpec(j=j, delta=delta), SPEC) == pytest.approx(exact, rel=1e-13)
 
 
 def test_gap_monotone_decay():
