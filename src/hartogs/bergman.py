@@ -170,17 +170,6 @@ class LaurentCoefficients:
             return None
         return self.f_norm_sq - self.weighted_energy()
 
-    def to_records(self) -> list[dict]:
-        return [
-            {"j": j, "k": k, "re": float(a.real), "im": float(a.imag)}
-            for (j, k), a in sorted(self.entries.items())
-        ]
-
-    @staticmethod
-    def from_records(records, jmax: int, kmax: int) -> "LaurentCoefficients":
-        entries = {(int(rec["j"]), int(rec["k"])): complex(rec["re"], rec["im"]) for rec in records}
-        return LaurentCoefficients(entries=entries, jmax=jmax, kmax=kmax)
-
 
 def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentCoefficients:
     """Orthogonal projection coefficients a_jk = (f, v_jk) / ||v_jk||^2.

@@ -22,6 +22,7 @@ identical rows.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import bergman, boundary, dbar, geometry, spectral
 from .points import PolarPoint, euclid
-from .quadrature import QuadratureSpec, integrate_T
+from .quadrature import QuadratureSpec
 
 __all__ = ["CheckRow", "Gate", "RunParams", "GATES", "run_command", "poincare_field_check"]
 
@@ -176,6 +177,9 @@ class RunParams:
     def __post_init__(self):
         if self.domain not in ("T", "T_infinity", "both"):
             raise ValueError(f"domain must be 'T', 'T_infinity' or 'both', got {self.domain!r}")
+        for f in dataclasses.fields(self):  # bool is not accepted as an int either
+            if f.type == "int" and type(getattr(self, f.name)) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
         for name, least in (
             ("seed", 0), ("pairs", 1), ("polar_pairs", 1), ("centers", 1),
             ("dilation_cases", 1), ("jmax", 0), ("kmax", -1), ("grid", 8), ("mode_cut", 1),
@@ -252,12 +256,10 @@ def run_adr(params: RunParams) -> list[CheckRow]:
     rows.append(_row("adr.scan.min", scan_params, report.min_ratio))
     rows.append(_row("adr.scan.max", scan_params, report.max_ratio))
 
-    by_center: dict = {}
-    for (p, rho, sig) in report.samples:
-        by_center.setdefault(id(p), {})[rho] = sig / rho**3
-    # every center carries every radius of rho_all, so each rho has its rho/2
-    hi, lo = np.array([(ratios[rho], ratios[rho / 2.0]) for ratios in by_center.values() for rho in params.rho_set]).T
-    fac = hi / lo
+    # samples run center by center over rho_all, which holds each rho and its rho/2
+    table = report.ratios().reshape(params.centers, len(rho_all))
+    hi = table[:, [rho_all.index(rho) for rho in params.rho_set]]
+    fac = hi / table[:, [rho_all.index(rho / 2.0) for rho in params.rho_set]]
     rows.append(_row("adr.scan.refinement", scan_params, np.max(np.maximum(fac, 1.0 / fac))))
     return rows
 
@@ -380,15 +382,18 @@ def run_dbar(params: RunParams) -> list[CheckRow]:
 # --------------------------------------------------------------- spectrum --
 
 
-def poincare_field_check(C: float, mode_cut: int, n_fields: int, seed, spec: QuadratureSpec):
+def poincare_field_check(C: float, mode_cut: int, n_fields: int, seed):
     """Rayleigh validation of the Poincare estimate on random fields.
 
-    Fields are real parts of random finite combinations of the holomorphic
-    basis with k >= 0 (so first derivatives are square-integrable) and both
-    angular modes within mode_cut.  Returns (worst_ratio, all_ok) where
-    ratio = ||f - mean f||^2 / (C * ||df||^2) and all_ok is the verdict of
-    the ``spectrum.poincare`` gate; for a real part of a holomorphic g the
-    energy is ||dg/dz||^2 + ||dg/dw||^2.
+    Fields are f = Re g, g a random finite combination of basis v_jk with
+    k >= 0 (so first derivatives are square-integrable), (j, k) != (0, 0)
+    and both angular modes within mode_cut.  Returns (worst_ratio, all_ok),
+    ratio = ||f - mean f||^2 / (C * ||df||^2), all_ok the verdict of the
+    ``spectrum.poincare`` gate.  Every term of g and of g^2 has a nonzero
+    angular mode, so f has mean 0 and ||f||^2 = ||g||^2 / 2; the energy is
+    ||dg/dz||^2 + ||dg/dw||^2 with d/dz v_jk = j v_{j-1,k-1} and d/dw v_jk =
+    (k-j) v_{j,k-1}.  Both index maps are injective, so all three norms are
+    orthogonal sums over the coefficients, with no quadrature.
     """
     rng = np.random.default_rng(seed)
     pool = [
@@ -397,27 +402,17 @@ def poincare_field_check(C: float, mode_cut: int, n_fields: int, seed, spec: Qua
         for k in range(max(0, j - mode_cut), j + mode_cut + 1)
         if (j, k) != (0, 0)
     ]
-    variances, energies = [], []
+    ratios = []
     for _ in range(n_fields):
         size = int(rng.integers(2, 5))
         picks = rng.choice(len(pool), size=size, replace=False)
         coeffs = {pool[i]: complex(rng.normal(), rng.normal()) for i in picks}
-        g = bergman.reconstruct_field(bergman.LaurentCoefficients(coeffs, jmax=mode_cut, kmax=2 * mode_cut))
-
-        def energy_density(r, a, s, b, table=coeffs):
-            gz = 0j
-            gw = 0j
-            for (j, k), c in table.items():
-                if j > 0:
-                    gz = gz + c * j * bergman.v_eval_arrays(j - 1, k - 1, r, a, s, b)
-                if k != j:
-                    gw = gw + c * (k - j) * bergman.v_eval_arrays(j, k - 1, r, a, s, b)
-            return np.abs(gz) ** 2 + np.abs(gw) ** 2
-
-        mean = complex(integrate_T(g, spec)).real / (np.pi**2 / 2.0)
-        variances.append(float(integrate_T(lambda r, a, s, b: (np.real(g(r, a, s, b)) - mean) ** 2, spec).real))
-        energies.append(float(integrate_T(energy_density, spec).real))
-    worst = float(np.max(np.array(variances) / (C * np.array(energies))))
+        gz = {(j - 1, k - 1): j * c for (j, k), c in coeffs.items() if j > 0}
+        gw = {(j, k - 1): (k - j) * c for (j, k), c in coeffs.items() if k != j}
+        norm, norm_z, norm_w = (bergman.LaurentCoefficients(table, jmax=mode_cut, kmax=2 * mode_cut).weighted_energy()
+                                for table in (coeffs, gz, gw))
+        ratios.append(norm / 2.0 / (C * (norm_z + norm_w)))
+    worst = float(np.max(ratios))
     return worst, GATES["spectrum.poincare"].passes(worst)
 
 
@@ -434,8 +429,7 @@ def run_spectrum(params: RunParams) -> list[CheckRow]:
     rows.append(_row("spectrum.gap.stability", {"n": params.grid, "2n": 2 * params.grid}, drift))
 
     C = spectral.poincare_constant(params.poincare_grid, params.mode_cut)
-    spec = QuadratureSpec(level=max(12, params.level // 2))
-    worst, _ = poincare_field_check(C, params.mode_cut, params.n_fields, params.seed + 5, spec)
+    worst, _ = poincare_field_check(C, params.mode_cut, params.n_fields, params.seed + 5)
     rows.append(_row("spectrum.poincare",
                      {"n": params.poincare_grid, "mode_cut": params.mode_cut, "fields": params.n_fields,
                       "C": C, "seed": params.seed + 5},

@@ -24,7 +24,7 @@ COMMANDS = ("uniform", "adr", "bergman", "dbar", "spectrum", "all")
 # flag name -> (RunParams field, parser kwargs)
 _OPTIONS = {
     "--seed": ("seed", dict(type=int, help="base RNG seed (sub-seeds are fixed offsets)")),
-    "--level": ("level", dict(type=int, help="tensor quadrature level per axis")),
+    "--level": ("level", dict(type=int, help="tensor quadrature level per axis of the bergman battery; no other battery reads it")),
     "--surface-cells": ("surface_cells", dict(type=int, help="ceiling on nodes per piece of the boundary-ball rules (>= 64)")),
     "--shell-level": ("shell_level", dict(type=int, help="cutoff-shell theta nodes, max(16, n // 3); no other size reads it")),
     "--domain": ("domain", dict(choices=("T", "T_infinity", "both"), help="domain for the uniform battery")),

@@ -192,19 +192,19 @@ def poincare_constant(n: int, mode_cut: int) -> float:
     return 1.0 / min(float(_lowest_eigenvalues(build_mode(l, m, n), count)[-1]) for l, m, count in modes)
 
 
-def solve_neumann(f, l: int, m: int, n: int, demean: bool = True) -> np.ndarray:
+def solve_neumann(f, l: int, m: int, n: int) -> np.ndarray:
     """Solve stiffness u = mass f-hat for mode (l, m) on the n-grid.
 
     ``f`` is the mode amplitude: a callable f(r, s) evaluated at the cell
     centers, or a vector of nodal values.  For the (0, 0) mode the data is
-    replaced by f - mean(f) (mass-weighted) and the solution is pinned to
-    mean zero via a Lagrange multiplier; with demean=False, data with a
-    nonzero mean makes the singular system inconsistent and raises.
+    always replaced by f - mean(f) (mass-weighted), the compatible part of
+    any source, and the solution is pinned to mean zero via a Lagrange
+    multiplier.
     """
-    return _solve_mode(build_mode(l, m, n), f, demean)
+    return _solve_mode(build_mode(l, m, n), f)
 
 
-def _solve_mode(problem: ModeProblem, f, demean: bool = True) -> np.ndarray:
+def _solve_mode(problem: ModeProblem, f) -> np.ndarray:
     """:func:`solve_neumann` on an assembled mode problem."""
     l, m, n = problem.l, problem.m, problem.n
     if callable(f):
@@ -216,37 +216,27 @@ def _solve_mode(problem: ModeProblem, f, demean: bool = True) -> np.ndarray:
             raise ValueError(f"expected {problem.size} nodal values, got {fhat.shape}")
     K = problem.stiffness
     M = problem.mass
-    b = M @ fhat
 
     if (l, m) == (0, 0):
         w = M.diagonal()
-        mean = float(w @ fhat) / float(w.sum())
-        if not demean:
-            scale = float(np.abs(b).max()) or 1.0
-            if abs(mean) * float(w.sum()) > 1e-10 * scale:
-                raise ValueError("(0,0) system inconsistent: data has nonzero mean")
-        else:
-            fhat = fhat - mean
-            b = M @ fhat
+        fhat = fhat - float(w @ fhat) / float(w.sum())
+        b = M @ fhat
         # bordered system pins (u, 1)_M = 0 while keeping symmetry
         one = w.reshape(-1, 1)
         A = sp.bmat([[K, one], [one.T, None]], format="csc")
         rhs = np.concatenate([b, [0.0]])
-        try:
-            sol = spla.spsolve(A, rhs)
-        except Exception as exc:
-            raise EigenSolverError(f"linear solve failed for mode (0,0) at n={n}: {exc}") from exc
-        u = sol[:-1]
     else:
-        try:
-            u = spla.spsolve(sp.csc_matrix(K), b)
-        except Exception as exc:
-            raise EigenSolverError(f"linear solve failed for mode ({l},{m}) at n={n}: {exc}") from exc
+        b = M @ fhat
+        A, rhs = sp.csc_matrix(K), b
+    try:
+        u = spla.spsolve(A, rhs)[: problem.size]
+    except Exception as exc:
+        raise EigenSolverError(f"linear solve failed for mode ({l},{m}) at n={n}: {exc}") from exc
 
-    residual = float(np.linalg.norm(K @ u - (M @ fhat)))
+    residual = float(np.linalg.norm(K @ u - b))
     # absolute floor keeps a numerically-zero right-hand side (e.g. demeaned
     # constant data) from turning roundoff into a spurious relative failure
-    scale = float(np.linalg.norm(M @ fhat))
+    scale = float(np.linalg.norm(b))
     if not residual <= 1e-8 * scale + 1e-12:  # a NaN residual fails too
         raise EigenSolverError(
             f"solver residual {residual:.3e} exceeds 1e-8 relative for mode ({l},{m})"

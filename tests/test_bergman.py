@@ -340,15 +340,6 @@ def test_project_rejects_non_finite():
         project(bad, 2, 2, SPEC)
 
 
-def test_coefficients_serialization_roundtrip():
-    entries = {(0, -1): 1.0 + 2.0j, (2, 3): -0.5j}
-    co = LaurentCoefficients(entries=entries, jmax=3, kmax=3)
-    records = co.to_records()
-    assert all(set(rec) == {"j", "k", "re", "im"} for rec in records)
-    back = LaurentCoefficients.from_records(records, jmax=3, kmax=3)
-    assert back.entries == co.entries
-
-
 def test_coefficients_validate_block():
     with pytest.raises(ValueError):
         LaurentCoefficients(entries={(5, 1): 1.0}, jmax=3, kmax=3)

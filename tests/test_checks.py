@@ -14,7 +14,6 @@ import pytest
 
 from hartogs import bergman, boundary, checks, dbar, geometry, spectral
 from hartogs.checks import GATES, Gate, RunParams, poincare_field_check, run_command
-from hartogs.quadrature import QuadratureSpec
 
 SMALL = RunParams(
     level=8, surface_cells=128, shell_level=48, pairs=20, polar_pairs=1000, centers=2,
@@ -167,8 +166,9 @@ NAN_CASES = [
      ["dbar.cutoff.cs", "dbar.cutoff.borderline"]),
     ("dbar", dbar, "cutoff_commutator_check", 2, lambda rep: dataclasses.replace(rep, first_factor=math.nan),
      ["dbar.cutoff.firstfactor"]),
-    # integrate_T calls per field: mean, variance, energy; call 5 is the second field's energy
-    ("spectrum", checks, "integrate_T", 5, _nan, ["spectrum.poincare"]),
+    # v_norm_sq calls per field: one per term of g, of dg/dz, of dg/dw; at the SMALL seed the
+    # first field has 3 + 3 + 3 terms and the second 2 + 2 + 1, so call 11 is in its energy
+    ("spectrum", bergman, "v_norm_sq", 11, _nan, ["spectrum.poincare"]),
 ]
 
 
@@ -242,6 +242,7 @@ def test_nan_galerkin_source_fails(monkeypatch, small_rows):
 
 
 def test_poincare_check_fails_on_nan_energy(monkeypatch):
-    _spoil_call(monkeypatch, checks, "integrate_T", 2, _nan)
-    worst, ok = poincare_field_check(0.5, 1, 3, seed=5, spec=QuadratureSpec(level=8))
+    # the first field has 4 terms, so v_norm_sq call 4 is the first term of its dg/dz
+    _spoil_call(monkeypatch, bergman, "v_norm_sq", 4, _nan)
+    worst, ok = poincare_field_check(0.5, 1, 3, seed=5)
     assert math.isnan(worst) and ok is False

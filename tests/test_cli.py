@@ -155,7 +155,12 @@ def test_out_of_range_flag_exits_2(tmp_path, capsys):
 def test_out_of_range_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "r.json"
-    for command, values in (("uniform", {"domain": "X"}), ("adr", {"rho_set": []}), ("dbar", {"deltas": []})):
+    for command, values in (
+        ("uniform", {"domain": "X"}), ("adr", {"rho_set": []}), ("dbar", {"deltas": []}),
+        ("uniform", {"seed": "7"}), ("uniform", {"pairs": 2.5}), ("spectrum", {"grid": 16.5}),
+        ("uniform", {"pairs": True}), ("bergman", {"level": 8.0}), ("adr", {"surface_cells": "512"}),
+        ("dbar", {"shell_level": [96]}),
+    ):
         cfg.write_text(json.dumps(values))
         code = main([command, "--config", str(cfg), "--out", str(out)])
         assert code == 2, values
