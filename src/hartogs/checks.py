@@ -152,45 +152,53 @@ def _row(check_id: str, params: dict, observed: float) -> CheckRow:
     )
 
 
+def _option(default, help: str, **bounds):
+    """One run option: its default, flag help and bounds (least, top or choices)."""
+    return dataclasses.field(default=default, metadata=dict(help=help, **bounds))
+
+
 @dataclass(frozen=True)
 class RunParams:
-    """Desk-scale defaults for the check battery; every knob CLI-exposed."""
+    """Desk-scale defaults for the check battery, one field per run option.
 
-    seed: int = 7
-    level: int = 24
-    surface_cells: int = 512
-    shell_level: int = 96
-    domain: str = "both"
-    pairs: int = 2_000
-    polar_pairs: int = 200_000
-    centers: int = 16
-    rho_set: tuple = (0.01, 0.1, 0.5, 1.0, 2.0)
-    dilation_cases: int = 40
-    jmax: int = 8
-    kmax: int = 8
-    deltas: tuple = (0.5, 0.1, 0.01)
-    grid: int = 48
-    mode_cut: int = 2
-    poincare_grid: int = 64
-    n_fields: int = 25
+    Field ``a_b`` is the flag ``--a-b`` and the config key ``a_b``, so adding an
+    option means adding one field.  ``least`` bounds an integer from below,
+    ``top`` puts every entry of a tuple in (0, top], ``choices`` lists the
+    allowed strings; ``level``, ``surface_cells`` and ``shell_level`` are
+    bounded by QuadratureSpec alone.
+    """
+
+    seed: int = _option(7, "base RNG seed (sub-seeds are fixed offsets)", least=0)
+    level: int = _option(24, "tensor quadrature level per axis of the bergman battery; no other battery reads it")
+    surface_cells: int = _option(512, "ceiling on nodes per piece of the boundary-ball rules (>= 64)")
+    shell_level: int = _option(96, "cutoff-shell theta nodes, max(16, n // 3); no other size reads it")
+    domain: str = _option("both", "domain for the uniform battery", choices=("T", "T_infinity", "both"))
+    pairs: int = _option(2_000, "random endpoint pairs for curve verification", least=1)
+    polar_pairs: int = _option(200_000, "random pairs for the polar distance bound", least=1)
+    centers: int = _option(16, "random boundary centers for the regularity scan", least=1)
+    rho_set: tuple = _option((0.01, 0.1, 0.5, 1.0, 2.0), "comma-separated ball radii for the regularity scan",
+                             top=boundary.DIAM_T)
+    dilation_cases: int = _option(40, "random (center, radius) dilation tests", least=1)
+    jmax: int = _option(8, "largest j in the basis block", least=0)
+    kmax: int = _option(8, "largest k in the basis block", least=-1)
+    deltas: tuple = _option((0.5, 0.1, 0.01), "comma-separated delta values for the scaling check", top=1.0)
+    grid: int = _option(48, "cells per axis for the eigenvalue grid", least=8)
+    mode_cut: int = _option(2, "angular mode bound for the lowest-eigenvalue search", least=1)
+    poincare_grid: int = _option(64, "grid for the Poincare constant", least=8)
+    n_fields: int = _option(25, "random fields for the Poincare validation", least=1)
 
     def __post_init__(self):
-        if self.domain not in ("T", "T_infinity", "both"):
-            raise ValueError(f"domain must be 'T', 'T_infinity' or 'both', got {self.domain!r}")
-        for f in dataclasses.fields(self):  # bool is not accepted as an int either
-            if f.type == "int" and type(getattr(self, f.name)) is not int:
-                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
-        for name, least in (
-            ("seed", 0), ("pairs", 1), ("polar_pairs", 1), ("centers", 1),
-            ("dilation_cases", 1), ("jmax", 0), ("kmax", -1), ("grid", 8), ("mode_cut", 1),
-            ("poincare_grid", 8), ("n_fields", 1),
-        ):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
-        for name, top in (("rho_set", boundary.DIAM_T), ("deltas", 1.0)):
-            values = getattr(self, name)
-            if not values or not all(0.0 < v <= top for v in values):
-                raise ValueError(f"{name} must be non-empty with every value in (0, {top:.6g}], got {values!r}")
+        for f in dataclasses.fields(self):
+            value, bounds = getattr(self, f.name), f.metadata
+            if f.type == "int" and type(value) is not int:  # bool is not accepted as an int either
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if "least" in bounds and value < bounds["least"]:
+                raise ValueError(f"{f.name} must be >= {bounds['least']}, got {value!r}")
+            if "choices" in bounds and value not in bounds["choices"]:
+                raise ValueError(f"{f.name} must be one of {', '.join(bounds['choices'])}, got {value!r}")
+            if "top" in bounds and not (value and all(0.0 < v <= bounds["top"] for v in value)):
+                raise ValueError(
+                    f"{f.name} must be non-empty with every value in (0, {bounds['top']:.6g}], got {value!r}")
         self.quad()  # out-of-range quadrature sizes fail here, before any battery runs
 
     def quad(self) -> QuadratureSpec:
@@ -463,12 +471,9 @@ _RUNNERS = {
 
 
 def run_command(command: str, params: RunParams) -> list[CheckRow]:
-    """Execute one named battery, or all of them in a fixed order."""
+    """Execute one named battery, or all of them in ``_RUNNERS`` order."""
     if command == "all":
-        rows = []
-        for name in ("uniform", "adr", "bergman", "dbar", "spectrum"):
-            rows.extend(_RUNNERS[name](params))
-        return rows
+        return [row for runner in _RUNNERS.values() for row in runner(params)]
     if command not in _RUNNERS:
         raise ValueError(f"unknown command {command!r}")
     return _RUNNERS[command](params)

@@ -70,6 +70,20 @@ def test_gate_keys_are_the_report_ids(small_rows):
     assert set(small_rows) == set(GATES)
 
 
+def test_all_calls_the_runners_table_at_call_time(monkeypatch):
+    # wrapping the table's values in place, as a profiler would, must reach run_command("all")
+    calls = []
+    for name, runner in list(checks._RUNNERS.items()):
+        def wrapped(params, name=name, runner=runner):
+            calls.append(name)
+            return runner(params)
+        monkeypatch.setitem(checks._RUNNERS, name, wrapped)
+    order = ["uniform", "adr", "bergman", "dbar", "spectrum"]
+    batteries = [row.check_id.split(".")[0] for row in run_command("all", SMALL)]
+    assert calls == order
+    assert sorted(batteries, key=order.index) == batteries and list(dict.fromkeys(batteries)) == order
+
+
 def test_gates_are_pinned():
     got = {check_id: (g.comparison, g.expected, g.tolerance) for check_id, g in GATES.items()}
     assert got == PINNED

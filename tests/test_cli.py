@@ -1,8 +1,11 @@
 """Command-line interface: argument handling, report files, exit codes."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +13,12 @@ from pathlib import Path
 import pytest
 
 from hartogs import cli
-from hartogs.checks import CheckRow
-from hartogs.cli import _parse_floats, build_parser, main
+from hartogs.checks import CheckRow, RunParams
+from hartogs.cli import COMMANDS, _parse_floats, build_parser, main
 from hartogs.reports import CSV_COLUMNS
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+FIELDS = [f.name for f in dataclasses.fields(RunParams)]
 
 FAST = [
     "--pairs", "50", "--polar-pairs", "1000",
@@ -159,13 +165,54 @@ def test_out_of_range_config_exits_2(tmp_path, capsys):
         ("uniform", {"domain": "X"}), ("adr", {"rho_set": []}), ("dbar", {"deltas": []}),
         ("uniform", {"seed": "7"}), ("uniform", {"pairs": 2.5}), ("spectrum", {"grid": 16.5}),
         ("uniform", {"pairs": True}), ("bergman", {"level": 8.0}), ("adr", {"surface_cells": "512"}),
-        ("dbar", {"shell_level": [96]}),
+        ("dbar", {"shell_level": [96]}), ("dbar", {"deltas": [True]}), ("adr", {"rho_set": [False]}),
+        ("dbar", {"deltas": [None]}),
     ):
         cfg.write_text(json.dumps(values))
         code = main([command, "--config", str(cfg), "--out", str(out)])
         assert code == 2, values
         assert "error:" in capsys.readouterr().err, values
         assert not out.exists(), values
+
+
+def test_bad_out_in_config_exits_2_before_any_battery(tmp_path, monkeypatch, capsys):
+    # a config "out" of true once reached open(True), i.e. fd 1: the report went to stdout and closed it
+    def battery_ran(command, params):
+        raise AssertionError("a battery ran")
+
+    monkeypatch.setattr(cli, "run_command", battery_ran)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    for out in (True, 1, "", ["r.json"], {"path": "r.json"}):
+        cfg.write_text(json.dumps({"out": out, "jmax": 0, "kmax": 0}))
+        assert main(["dbar", "--config", str(cfg)]) == 2, out
+        captured = capsys.readouterr()
+        assert "error:" in captured.err, out
+        assert captured.out == "", out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"], out
+
+
+def test_flags_are_the_runparams_fields():
+    assert COMMANDS == ("uniform", "adr", "bergman", "dbar", "spectrum", "all")
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    subparsers = action.choices
+    assert tuple(subparsers) == COMMANDS
+    for command in COMMANDS:
+        options = [a for a in subparsers[command]._actions if a.option_strings and a.dest != "help"]
+        assert [a.option_strings for a in options[:3]] == [["--config"], ["--out"], ["--format"]]
+        assert [a.option_strings for a in options[3:]] == [["--" + name.replace("_", "-")] for name in FIELDS]
+        assert all(a.help for a in options), command
+
+
+def test_report_config_keys_are_the_runparams_fields(tmp_path):
+    code, out = run_uniform(tmp_path)
+    assert code == 0
+    assert list(json.loads(out.read_text())["config"]) == sorted([*FIELDS, "command"])  # the report sorts keys
+
+
+def test_readme_lists_the_flags():
+    sentence = re.search(r"The flags are the `RunParams` fields.*?\.\s", README.read_text(), re.S).group(0)
+    assert re.findall(r"`(--[a-z-]+)`", sentence) == ["--" + name.replace("_", "-") for name in FIELDS]
 
 
 def test_python_m_hartogs_matches_main(tmp_path):
