@@ -30,6 +30,7 @@ block sum is one bilinear form in the powers of X and Y.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -91,7 +92,11 @@ def v_field(idx: LaurentIndex) -> Callable:
 
 
 def v_norm_sq(idx: LaurentIndex) -> float:
-    """Closed-form squared L^2(T) norm pi^2 / ((j+1)(k+2))."""
+    """Closed-form squared L^2(T) norm pi^2 / ((j+1)(k+2)).
+
+    idx.j and idx.k may be integer arrays that broadcast, as in
+    ``_inverse_norms``; the norms are then an array of the same divisions.
+    """
     return np.pi**2 / ((idx.j + 1) * (idx.k + 2))
 
 
@@ -230,12 +235,21 @@ def reconstruct(coeffs: LaurentCoefficients, p: PolarPoint) -> complex:
     return complex(reconstruct_field(coeffs)(p.r, p.alpha, p.s, p.beta))
 
 
+def _inverse_norms(jmax: int, kmax: int) -> np.ndarray:
+    """1/||v_jk||^2 over the block, indexed [j, k + 1]: one ``v_norm_sq`` call
+    on the index grid, the same divisions as one call per index."""
+    if jmax < 0 or kmax < -1:
+        raise ValueError("need jmax >= 0 and kmax >= -1")
+    grid = SimpleNamespace(j=np.arange(jmax + 1)[:, None], k=np.arange(-1, kmax + 1)[None, :])
+    return 1.0 / v_norm_sq(grid)
+
+
 def kernel_truncated(p: PolarPoint, q: PolarPoint, jmax: int, kmax: int) -> complex:
     """Truncated reproducing kernel sum_jk v_jk(p) conj(v_jk(q)) / ||v_jk||^2,
     summed as sum_jk X^j Y^k / ||v_jk||^2 (see the module docstring)."""
     if p.s <= 0.0 or q.s <= 0.0:
         raise ValueError("v_jk requires s > 0")
-    inv = np.array([1.0 / v_norm_sq(idx) for idx in block_indices(jmax, kmax)]).reshape(jmax + 1, kmax + 2)
+    inv = _inverse_norms(jmax, kmax)
     Y = p.w * np.conj(q.w)
     X = p.z * np.conj(q.z) / Y
     return complex(X ** np.arange(jmax + 1) @ inv @ Y ** np.arange(-1, kmax + 1))

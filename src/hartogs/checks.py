@@ -244,15 +244,16 @@ def run_adr(params: RunParams) -> list[CheckRow]:
         rows.append(_row(check_id, {"t": t, "cells": spec.surface_cells}, boundary.f_profile(t, spec)))
 
     rng = np.random.default_rng(params.seed + 2)
-    errs = []
+    points, radii = [], []
     for _ in range(params.dilation_cases):
         rc = rng.uniform(0.05, 2.0)
-        rho = rng.uniform(0.05, 2.0)
+        radii.append(rng.uniform(0.05, 2.0))
         a, b = rng.uniform(-np.pi, np.pi, 2)
-        p = PolarPoint(rc / np.sqrt(2.0), a, rc / np.sqrt(2.0), b)
-        via_formula = boundary.sigma_ball_Tinf(p, rho, spec)
-        direct = boundary.sigma_ball_Tinf_direct(p, rho, spec)
-        errs.append(abs(via_formula - direct) / max(direct, 1e-300))
+        points.append(PolarPoint(rc / np.sqrt(2.0), a, rc / np.sqrt(2.0), b))
+    # every case in one batch per side of the law
+    via_formula = boundary.sigma_ball_Tinf(points, radii, spec)
+    direct = boundary.sigma_ball_Tinf_direct(points, radii, spec)
+    errs = np.abs(via_formula - direct) / np.maximum(direct, 1e-300)
     rows.append(_row("adr.dilation", {"cases": params.dilation_cases, "seed": params.seed + 2}, np.max(errs)))
 
     p_cone = PolarPoint(0.25, 0.3, 0.25, -1.1)
@@ -447,17 +448,22 @@ def run_spectrum(params: RunParams) -> list[CheckRow]:
     n = params.grid
     problem = spectral.build_mode(0, 0, n)
     fhat = np.cos(np.pi * problem.s_centers) + problem.r_centers
-    u = spectral._solve_mode(problem, fhat)
-    w = problem.mass.diagonal()
-    fhat = fhat - float(w @ fhat) / float(w.sum())
-    rng = np.random.default_rng(params.seed + 6)
-    errs = []
-    for _ in range(10):
-        v = rng.normal(size=problem.size)
-        lhs = float(v @ (problem.stiffness @ u))
-        rhs = float(v @ (problem.mass @ fhat))
-        errs.append(abs(lhs - rhs) / max(abs(rhs), 1e-30))
-    rows.append(_row("spectrum.galerkin", {"n": n, "tests": 10, "seed": params.seed + 6}, np.max(errs)))
+    try:
+        u = spectral._solve_mode(problem, fhat)
+    except spectral.EigenSolverError:
+        galerkin = np.inf  # a solve that fails its residual check fails this row alone
+    else:
+        w = problem.mass.diagonal()
+        fhat = fhat - float(w @ fhat) / float(w.sum())
+        rng = np.random.default_rng(params.seed + 6)
+        errs = []
+        for _ in range(10):
+            v = rng.normal(size=problem.size)
+            lhs = float(v @ (problem.stiffness @ u))
+            rhs = float(v @ (problem.mass @ fhat))
+            errs.append(abs(lhs - rhs) / max(abs(rhs), 1e-30))
+        galerkin = np.max(errs)
+    rows.append(_row("spectrum.galerkin", {"n": n, "tests": 10, "seed": params.seed + 6}, galerkin))
     return rows
 
 

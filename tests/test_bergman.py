@@ -9,6 +9,7 @@ from hartogs import quadrature
 from hartogs.bergman import (
     LaurentCoefficients,
     LaurentIndex,
+    _inverse_norms,
     basis_gram,
     block_indices,
     inner_product,
@@ -261,6 +262,19 @@ def kernel_index_loop(p, q, jmax, kmax):
     for idx in block_indices(jmax, kmax):
         total += v_eval(idx, p) * np.conj(v_eval(idx, q)) / v_norm_sq(idx)
     return total
+
+
+@pytest.mark.parametrize("jmax, kmax", [(0, -1), (3, 0), (8, 8), (32, 32), (5, 40)])
+def test_inverse_norm_table_is_the_per_index_division(jmax, kmax):
+    per_index = np.array([1.0 / v_norm_sq(idx) for idx in block_indices(jmax, kmax)]).reshape(jmax + 1, kmax + 2)
+    table = _inverse_norms(jmax, kmax)
+    assert table.shape == per_index.shape and np.array_equal(table, per_index)  # bitwise, not approximate
+
+
+def test_inverse_norm_table_validates_the_block():
+    for jmax, kmax in ((-1, 0), (0, -2)):
+        with pytest.raises(ValueError, match="need jmax >= 0 and kmax >= -1"):
+            _inverse_norms(jmax, kmax)
 
 
 @pytest.mark.parametrize("jmax, kmax", [(0, -1), (8, 8), (32, 32)])

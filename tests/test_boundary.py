@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from hartogs import boundary
 from hartogs.boundary import (
     ADR_WINDOW,
     DIAM_T,
@@ -325,3 +326,110 @@ def test_cone_ball_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000  # one 768 x 768 float grid alone is 4.7 MB
+
+
+# cone parts of cylinder-centred balls whose 32- and 64-node values differ by more than
+# 1e-10, so that they need 128 nodes where the kernel balls stop at 64
+SLOW_BALLS = [(0.18259034780416677, 1.0, 0.820746181208189), (0.3705204803215792, 1.0, 0.9604152110411491)]
+
+
+def _columns(balls):
+    az, aw, rho = (np.array([b[i] for b in balls]) for i in range(3))
+    r_hi = np.array([np.inf if b[3] is None else b[3] for b in balls])
+    return az, aw, rho, r_hi
+
+
+def test_batch_matches_each_ball_alone():
+    balls = _kernel_balls()
+    balls.insert(3, (*SLOW_BALLS[0], SQ2))
+    az, aw, rho, r_hi = _columns(balls)
+    for ball in balls[:3] + balls[4:]:
+        _cone_ball(*ball, 64)  # converged by 64 nodes
+    with pytest.raises(ValueError):
+        _cone_ball(*balls[3], 64)  # the slow ball needs 128: convergence in the batch is mixed
+    cone = _cone_ball(az, aw, rho, r_hi, 768)
+    cyl = _cyl_ball(az, aw, rho, 768)
+    assert cone.shape == cyl.shape == (len(balls),)
+    alone = np.array([_cone_ball(*ball, 768) for ball in balls])
+    np.testing.assert_allclose(cone, alone, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(cyl, [_cyl_ball(a, w, r, 768) for a, w, r, _ in balls], rtol=1e-15, atol=0.0)
+    assert np.count_nonzero(cone == 0.0) == np.count_nonzero(alone == 0.0) > 0  # the empty ball stays exactly 0
+
+
+def test_public_functions_take_a_sequence_of_points():
+    rng = np.random.default_rng(21)
+    cone = [cone_point(t, *rng.uniform(-np.pi, np.pi, 2)) for t in rng.uniform(0.05, 1.4, 5)]
+    cyl = [PolarPoint(float(np.sqrt(rng.random())), 0.3, 1.0, -0.2) for _ in range(3)]
+    radii = rng.uniform(0.05, 1.5, 5)
+    ts = np.array([0.0, 0.4, 3.0, 200.0])
+    np.testing.assert_allclose(f_profile(ts, SPEC), [f_profile(float(t), SPEC) for t in ts], rtol=1e-15, atol=0.0)
+    for fn in (sigma_ball_Tinf, sigma_ball_Tinf_direct):
+        np.testing.assert_allclose(fn(cone, radii, SPEC), [fn(p, float(r), SPEC) for p, r in zip(cone, radii)],
+                                   rtol=1e-15, atol=0.0)
+    points = cone[:3] + cyl
+    np.testing.assert_allclose(sigma_ball_bT(points, 0.7, SPEC), [sigma_ball_bT(p, 0.7, SPEC) for p in points],
+                               rtol=1e-15, atol=0.0)
+    with pytest.raises(ValueError, match="r=0.2, s=0.6"):
+        sigma_ball_bT(points + [PolarPoint(0.2, 0.0, 0.6, 0.0)], 0.7, SPEC)
+
+
+def test_unconverged_ball_in_a_batch_is_named():
+    balls = [(0.3, 0.3, 0.5, SQ2), (0.5, 1.0, 0.2, SQ2), (*SLOW_BALLS[1], SQ2), (0.0, 0.0, 1.0, None),
+             (*SLOW_BALLS[0], SQ2)]
+    az, aw, rho, r_hi = _columns(balls)
+    a, w, r = SLOW_BALLS[1]
+    with pytest.raises(ValueError, match=f"az={a!r}, aw={w!r}, rho={r!r}") as err:
+        _cone_ball(az, aw, rho, r_hi, 64)
+    assert "within 64 nodes per piece: last values [" in str(err.value)
+    np.testing.assert_allclose(_cone_ball(az, aw, rho, r_hi, 128), [_cone_ball(*b, 128) for b in balls],
+                               rtol=1e-15, atol=0.0)
+
+
+def test_batch_memory_stays_blocked():
+    rng = np.random.default_rng(8)
+    c = np.sqrt(rng.random(64))
+    on_cone = np.arange(64) % 2 == 0
+    az = np.where(on_cone, rng.uniform(0.0, 1.0, 64), c)
+    aw = np.where(on_cone, az, 1.0)
+    rho = np.exp(rng.uniform(np.log(0.005), np.log(DIAM_T), 64))
+    for batch in (lambda: _cone_ball(az, aw, rho, SQ2, 768), lambda: _cyl_ball(az, aw, rho, 768)):
+        batch()  # the rules are cached on first use
+        tracemalloc.start()
+        try:
+            batch()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("name", ["_cone_ball", "_cyl_ball", "sigma_ball_bT"])
+def test_adr_scan_reaches_the_kernels_by_name(monkeypatch, name):
+    # the module-level names are looked up at call time, so a patched kernel shows in the scan
+    base = adr_scan(4, [0.05, 0.5], seed=2, spec=SPEC)
+    original = getattr(boundary, name)
+    monkeypatch.setattr(boundary, name, lambda *a: 2.0 * original(*a))
+    doubled = adr_scan(4, [0.05, 0.5], seed=2, spec=SPEC)
+    for (p, rho, sig), (q, rho2, sig2) in zip(base.samples, doubled.samples):
+        assert (p, rho) == (q, rho2)
+        part = {"_cone_ball": lambda: original(p.r, p.s, rho, SQ2, SPEC.surface_cells),
+                "_cyl_ball": lambda: original(p.r, p.s, rho, SPEC.surface_cells),
+                "sigma_ball_bT": lambda: sig}[name]()
+        assert sig2 == pytest.approx(sig + part, rel=1e-15, abs=0.0)
+    assert any(sig2 != sig for (_, _, sig), (_, _, sig2) in zip(base.samples, doubled.samples))
+
+
+def test_adr_scan_rejects_empty_radii():
+    with pytest.raises(ValueError, match="rho_set"):
+        adr_scan(4, [], seed=1, spec=SPEC)
+
+
+def test_non_finite_balls_raise():
+    # a NaN ball would otherwise look empty and read 0
+    with pytest.raises(ValueError, match="finite"):
+        _cone_ball(np.array([0.3, np.nan]), 0.3, 0.5, None, 768)
+    with pytest.raises(ValueError, match="finite"):
+        _cyl_ball(0.3, 1.0, np.inf, 768)
+    for t in (np.array([0.5, np.nan]), np.inf):
+        with pytest.raises(ValueError):
+            f_profile(t, SPEC)

@@ -168,8 +168,10 @@ NAN_CASES = [
     ("uniform", geometry, "dist_boundary", 4, _nan_first_node, ["uniform.triangle.cigar"]),
     ("uniform", geometry, "dist_boundary", 7, _nan_first_node, ["uniform.triangle.containment"]),
     ("uniform", geometry, "polar_lhs_arrays", 0, _nan_first_node, ["uniform.polar_bound"]),
-    ("adr", boundary, "sigma_ball_Tinf_direct", 1, _nan, ["adr.dilation"]),
-    ("adr", boundary, "sigma_ball_bT", 3, _nan, ["adr.scan.refinement"]),
+    # one batched call per side of the dilation law; one sigma_ball_bT call for adr.total, then
+    # one per scan radius: call 3 holds every centre at the third radius, and only the first is spoiled
+    ("adr", boundary, "sigma_ball_Tinf_direct", 0, _nan_first_node, ["adr.dilation"]),
+    ("adr", boundary, "sigma_ball_bT", 3, _nan_first_node, ["adr.scan.refinement"]),
     ("bergman", bergman, "project", 0, _nan_second_entry, ["bergman.projection.identity"]),
     ("bergman", bergman, "project", 1, _nan_second_entry, ["bergman.projection.antiholo"]),
     ("bergman", bergman, "kernel_truncated", 5, lambda k: complex(math.nan), ["bergman.kernel.hermitian"]),
@@ -251,8 +253,12 @@ def test_nan_galerkin_source_fails(monkeypatch, small_rows):
         return dataclasses.replace(problem, r_centers=_nan_first_node(problem.r_centers))
 
     monkeypatch.setattr(spectral, "build_mode", build_mode)
-    with pytest.raises(spectral.EigenSolverError):
-        run_command("spectrum", SMALL)
+    rows = {row.check_id: row for row in run_command("spectrum", SMALL)}
+    assert not rows["spectrum.galerkin"].passed and rows["spectrum.galerkin"].observed == math.inf
+    # the solve fails its residual check; the battery still reports every other row
+    assert list(rows) == [check_id for check_id in small_rows if check_id.startswith("spectrum.")]
+    assert all(rows[check_id].observed == small_rows[check_id].observed for check_id in rows
+               if check_id != "spectrum.galerkin")
 
 
 def test_poincare_check_fails_on_nan_energy(monkeypatch):
