@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .points import PolarPoint
-from .quadrature import QuadratureSpec, integrate_T, _gl_unit, _angular_nodes, _grid_slabs
+from .quadrature import QuadratureSpec, integrate_T, _gl_unit, _angular_nodes, _grid_slabs, _check_slab
 
 __all__ = [
     "LaurentIndex",
@@ -181,10 +181,12 @@ def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentC
 
     Evaluates f once on the tensor grid, one x-slab at a time (memory
     O(level^3)): each slab gives its angular sums of |f|^2 and its angular
-    transform onto the block's mode pairs, then everything reduces radially;
-    identical to the plain quadrature pairing, node for node.  Raises
-    NonFiniteIntegrandError (a ValueError) at the first node where f is
-    nan/inf.
+    transform onto the block's mode pairs, two matrix products that contract
+    alpha onto the jmax + 1 l-modes first and then beta onto the m-modes;
+    then everything reduces radially.  This is the plain quadrature pairing,
+    node for node; ``f_norm_sq`` does not depend on the slab size, the
+    coefficients to rounding.  Raises NonFiniteIntegrandError (a ValueError)
+    at the first node where f is nan/inf, found through the sums of |f|^2.
     """
     idxs = block_indices(jmax, kmax)
     n = spec.level
@@ -195,13 +197,16 @@ def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentC
     ls = sorted({idx.modes[0] for idx in idxs})
     ms = sorted({idx.modes[1] for idx in idxs})
     El = np.exp(-1j * np.outer(ls, ang)) * wang  # (nl, n)
-    Em = np.exp(-1j * np.outer(ms, ang)) * wang
+    EmT = (np.exp(-1j * np.outer(ms, ang)) * wang).T  # (n, nm)
     sq = np.empty((n, n))
-    F = np.empty((len(ls), len(ms), n, n), dtype=complex)
-    for rows, vals in _grid_slabs(f, xs[:, None] * ss, np.broadcast_to(ss, (n, n)), ang):
+    F = np.empty((n, n, len(ls), len(ms)), dtype=complex)
+    R, S = xs[:, None] * ss, np.broadcast_to(ss, (n, n))
+    for rows, vals in _grid_slabs(f, R, S, ang):
         sq[rows] = (np.abs(vals) ** 2).sum(axis=(2, 3))
-        # F[l, m, x, s] = sum_ab f(x,s,a,b) e^{-i(l a + m b)} w_a w_b
-        F[:, :, rows] = np.einsum("xsab,la,mb->lmxs", vals, El, Em, optimize=True)
+        _check_slab(sq[rows], vals, rows, R, S, ang)
+        # F[x, s, l, m] = sum_ab f(x,s,a,b) e^{-i(l a + m b)} w_a w_b; alpha first,
+        # onto the fewer modes (nl = jmax + 1 <= nm = jmax + kmax + 2)
+        F[rows] = (El @ vals) @ EmT
         del vals
 
     W = (wxs * xs)[:, None] * (wss * ss**3)[None, :]
@@ -213,7 +218,7 @@ def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentC
     for idx in idxs:
         l, m = idx.modes
         rad = xs[:, None] ** idx.j * ss[None, :] ** idx.k * W
-        pairing = complex(np.sum(F[lpos[l], mpos[m]] * rad))
+        pairing = complex(np.sum(F[:, :, lpos[l], mpos[m]] * rad))
         entries[(idx.j, idx.k)] = pairing / v_norm_sq(idx)
     return LaurentCoefficients(entries=entries, jmax=jmax, kmax=kmax, f_norm_sq=norm_sq)
 

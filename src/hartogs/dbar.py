@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .points import PolarPoint
-from .quadrature import QuadratureSpec, integrate_T, _gl_unit, _angular_nodes, _grid_slabs
+from .quadrature import QuadratureSpec, integrate_T, _gl_unit, _angular_nodes, _grid_slabs, _check_slab
 from .bergman import v_eval_arrays
 
 __all__ = [
@@ -279,7 +279,9 @@ def cutoff_commutator_check(f, delta: float, quad: QuadratureSpec) -> CutoffRepo
 
     ``quadrature._grid_slabs`` evaluates f once on all rows, in t-slabs, each
     kept as its angular sums of |f|^2 and |f|^4; the weights and the t-only
-    |dbar chi_delta|^2 apply after the loop.
+    |dbar chi_delta|^2 apply after the loop.  The sums of |f|^2 are the finite
+    check (``quadrature._check_slab``): NonFiniteIntegrandError names the first
+    shell node where f is nan/inf.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2] so the shell stays in T")
@@ -296,9 +298,11 @@ def cutoff_commutator_check(f, delta: float, quad: QuadratureSpec) -> CutoffRepo
     wt = np.concatenate([delta * wx for _, wx in outer] + [wy * t_log])
     f2 = np.empty((t.size, nth))
     f4 = np.empty((t.size, nth))
-    for rows, vals in _grid_slabs(f, t[:, None] * np.cos(th), t[:, None] * np.sin(th), ang):
+    R, S = t[:, None] * np.cos(th), t[:, None] * np.sin(th)
+    for rows, vals in _grid_slabs(f, R, S, ang):
         a2 = np.abs(vals) ** 2
         f2[rows] = np.einsum("ijkl->ij", a2)
+        _check_slab(f2[rows], vals, rows, R, S, ang)
         f4[rows] = np.einsum("ijkl,ijkl->ij", a2, a2)
         del vals, a2  # free slab k before f runs on slab k + 1
     wt = wt * t**3

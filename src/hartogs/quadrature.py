@@ -22,14 +22,16 @@ Rule layout per axis, all sizes equal to ``QuadratureSpec.level``:
 Memory: no 4-D grid is held whole.  One slab evaluator, ``_grid_slabs``,
 takes 2-D radial node arrays R[i, j], S[i, j] and the angular nodes, and
 yields the integrand on consecutive row-slabs of at most ``_SLAB_NODES``
-nodes, finite-checked.  It serves ``integrate_T`` and ``bergman.project``
-(x-slabs of the tensor grid, (R, S) = (x s, s)) and
-``dbar.cutoff_commutator_check`` (t-slabs of the shell grid,
-(R, S) = (t cos theta, t sin theta)).  Each caller keeps only per-(i, j)
-angular reductions, so memory is O(level^3).  Each slab is evaluated and
-finite-checked exactly as the whole grid would be, row for row, so
+nodes.  It serves ``integrate_T`` and ``bergman.project`` (x-slabs of the
+tensor grid, (R, S) = (x s, s)) and ``dbar.cutoff_commutator_check``
+(t-slabs of the shell grid, (R, S) = (t cos theta, t sin theta)).  Each
+caller keeps only per-(i, j) angular reductions, so memory is O(level^3).
+Each slab is evaluated exactly as the whole grid would be, row for row, so
 ``integrate_T`` does not depend on the slab size; ``project``'s angular
-transform may round differently in the last bits.
+transform may round differently in the last bits.  The finite check is on
+the reductions: each caller passes its per-slab angular sums (of f, or of
+|f|^2) to ``_check_slab``, which scans the slab's nodes only when a sum is
+nan/inf, and then names the same first nan/inf node as a whole-grid scan.
 
 Randomness: ``sample_T`` rejection-samples the unit bidisk (accept |z| < |w|,
 acceptance rate 1/2) using numpy's default_rng, i.e. the PCG64 generator.
@@ -63,13 +65,13 @@ VOL_T = np.pi**2 / 2.0
 #: grids of integrate_T and bergman.project and the shell grid of
 #: dbar.cutoff_commutator_check.  2^20 complex values are 16 MB,
 #: four x-rows at level 64.  Over the three level-64 grid calls of the
-#: benchmark's fine_grids workload (2 vCPUs), the traced peak is 602 MB for
-#: the whole grid (2^24 nodes), 48 MB at 2^20 and 24 MB at 2^18; time is
-#: lowest near 2^19-2^20 and rises on both sides (per-slab overhead below).
-#: These slabs set that workload's resident peak: in one process the RSS is
-#: 61 MB after import, the level-64 project calls take it to 112 MB, and the
-#: spectral part alone peaks at 86 MB.  Slabs of 2^18 nodes lower the peak
-#: but cost wall time, so 2^20 stays.
+#: benchmark's fine_grids workload (2 vCPUs, numpy 2.4), the traced peak is
+#: 17 MB at 2^18 nodes (one x-row), 36 MB at 2^20, 61 MB at 2^21 and 111 MB
+#: at 2^22; the whole grid (2^24 nodes) is 268 MB in one complex array alone.
+#: Time is flat within noise from 2^18 to 2^20 (about 0.5 s) and rises above
+#: (0.67 s at 2^21, 0.93 s at 2^22).  These slabs set that workload's
+#: resident peak: in one process the RSS is 61 MB after import, the level-64
+#: project calls take it to 98 MB, and the spectral part alone peaks at 85 MB.
 _SLAB_NODES = 2**20
 
 
@@ -148,7 +150,8 @@ def _grid_slabs(f: Callable, R: np.ndarray, S: np.ndarray, ang: np.ndarray):
     most ``_SLAB_NODES`` nodes) of the 4-D grid (r, alpha, s, beta) =
     (R[i, j], ang[k], S[i, j], ang[l]), broadcast to full complex slab shape.
 
-    NonFiniteIntegrandError names the first nan/inf node of the grid.
+    Nothing is checked here: the caller reduces each slab and passes its
+    reduction to ``_check_slab``.
     """
     A = ang[None, None, :, None]
     B = ang[None, None, None, :]
@@ -158,13 +161,28 @@ def _grid_slabs(f: Callable, R: np.ndarray, S: np.ndarray, ang: np.ndarray):
         rows = slice(lo, min(lo + step, n))
         vals = np.asarray(f(R[rows, :, None, None], A, S[rows, :, None, None], B), dtype=complex)
         vals = np.broadcast_to(vals, (rows.stop - lo, m, ang.size, ang.size))
-        finite = np.isfinite(vals)
-        if not finite.all():
-            i, j, k, l = np.argwhere(~finite)[0]
-            node = (float(R[rows][i, j]), float(ang[k]), float(S[rows][i, j]), float(ang[l]))
-            raise NonFiniteIntegrandError(node, vals[i, j, k, l])
         yield rows, vals
-        del vals, finite  # with the caller's del, slab k is freed before f runs on slab k + 1
+        del vals  # with the caller's del, slab k is freed before f runs on slab k + 1
+
+
+def _check_slab(reduced: np.ndarray, vals: np.ndarray, rows: slice, R: np.ndarray, S: np.ndarray,
+                ang: np.ndarray) -> None:
+    """Finite check of one slab of ``_grid_slabs``, through its reduction.
+
+    ``reduced`` holds the caller's per-(i, j) angular sums of f or of |f|^2
+    over the slab ``vals``; a sum is nan/inf whenever one of its nodes is, so
+    only a non-finite reduction makes the slab be scanned.
+    NonFiniteIntegrandError then names the slab's first nan/inf node, which is
+    the grid's first, since every earlier slab had finite sums.  A non-finite
+    sum of finite values (overflow) raises nothing.
+    """
+    if np.isfinite(reduced).all():
+        return
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i, j, k, l = np.argwhere(~finite)[0]
+        node = (float(R[rows][i, j]), float(ang[k]), float(S[rows][i, j]), float(ang[l]))
+        raise NonFiniteIntegrandError(node, vals[i, j, k, l])
 
 
 def integrate_T(f: Callable, spec: QuadratureSpec) -> complex:
@@ -175,7 +193,8 @@ def integrate_T(f: Callable, spec: QuadratureSpec) -> complex:
     real-valued callers take the real part themselves.
 
     Raises NonFiniteIntegrandError if any sampled value is nan/inf, carrying
-    the first offending node.
+    the first offending node; finite values whose sum overflows are not an
+    error, and the result is then inf or nan.
 
     f is called once per x-slab (see ``_SLAB_NODES``), so memory is
     O(level^3); each slab is reduced to its angular sums before the next.
@@ -187,8 +206,10 @@ def integrate_T(f: Callable, spec: QuadratureSpec) -> complex:
 
     # the angular rule has constant weight, so sum angles then weight radially
     radial = np.empty((n, n), dtype=complex)
-    for rows, vals in _grid_slabs(f, xs[:, None] * ss, np.broadcast_to(ss, (n, n)), ang):
+    R, S = xs[:, None] * ss, np.broadcast_to(ss, (n, n))
+    for rows, vals in _grid_slabs(f, R, S, ang):
         radial[rows] = np.einsum("ijkl->ij", vals)
+        _check_slab(radial[rows], vals, rows, R, S, ang)
         del vals
     # weight: (x s^3) dx ds dalpha dbeta
     w_rad = (wxs * xs)[:, None] * (wss * ss**3)[None, :]

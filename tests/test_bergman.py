@@ -174,15 +174,52 @@ def test_project_slabs_match_whole_grid(monkeypatch, level, rows):
         assert max(abs(co.entries[key] - ref[key]) for key in ref) <= 1e-15 * scale
 
 
+# fields whose values have a broadcast shape: constant in beta, (..., n, 1), and radial, (..., 1, 1)
+BROADCAST_FIELDS = {
+    "conj-z": (lambda r, a, s, b: r * np.exp(-1j * a), (1, 1, 7, 1)),
+    "z": (lambda r, a, s, b: r * np.exp(1j * a), (1, 1, 7, 1)),
+    "radial": (lambda r, a, s, b: np.exp(-(r**2)) / (1 + s) + r * s, (1, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("level, rows", [(7, 2), (9, 4)])
+@pytest.mark.parametrize("name", BROADCAST_FIELDS)
+def test_project_broadcast_fields_match_whole_grid(monkeypatch, level, rows, name):
+    monkeypatch.setattr(quadrature, "_SLAB_NODES", rows * level**3)
+    spec = QuadratureSpec(level=level)
+    f, shape = BROADCAST_FIELDS[name]
+    one = np.ones((1, 1, 1, 1))
+    assert np.shape(f(one, np.ones((1, 1, 7, 1)), one, np.ones((1, 1, 1, 7)))) == shape
+    co = project(f, 3, 3, spec)
+    ref, ref_norm_sq = project_whole_grid(f, 3, 3, spec)
+    assert co.f_norm_sq == ref_norm_sq  # bitwise
+    assert co.entries.keys() == ref.keys()
+    scale = max(1.0, max(abs(v) for v in ref.values()))
+    assert max(abs(co.entries[key] - ref[key]) for key in ref) <= 1e-15 * scale
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_project_norm_overflow_is_not_an_error(monkeypatch):
+    # |f|^2 overflows to inf at finite nodes: f_norm_sq is inf, the coefficients are finite
+    monkeypatch.setattr(quadrature, "_SLAB_NODES", 4 * 9**3)
+    spec = QuadratureSpec(level=9)
+    f = lambda r, a, s, b: 1e200 * v_eval_arrays(2, 3, r, a, s, b)
+    co = project(f, 3, 3, spec)
+    ref, ref_norm_sq = project_whole_grid(f, 3, 3, spec)
+    assert co.f_norm_sq == ref_norm_sq == np.inf
+    assert co.get(2, 3) == pytest.approx(1e200, rel=1e-10)
+    assert max(abs(co.entries[key] - ref[key]) for key in ref) <= 1e-15 * 1e200
+
+
 def test_project_memory_is_slab_bound():
-    # the whole level-64 grid is 268 MB complex; one slab is 16 MB
+    # the whole level-64 grid is 268 MB complex; one slab is 16 MB; traced peak 35.9 MB
     tracemalloc.start()
     try:
         project(v_field(LaurentIndex(2, 3)), 8, 8, QuadratureSpec(level=64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64_000_000
+    assert peak < 40_000_000
 
 
 def test_projection_identity_on_basis():

@@ -314,7 +314,7 @@ def test_cutoff_slabs_match_one_slab(monkeypatch):
 
 def test_cutoff_memory_is_slab_bound():
     # at shell level 192 the 78 t-rows make 78 x 64 x 12 x 12 = 7.2e5 nodes, one slab:
-    # traced peak 18.2 MB
+    # traced peak 17.5 MB
     spec = QuadratureSpec(shell_level=192)
     winv = lambda r, a, s, b: v_eval_arrays(0, -1, r, a, s, b)
     tracemalloc.start()
@@ -323,7 +323,7 @@ def test_cutoff_memory_is_slab_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 26_000_000
+    assert peak < 20_000_000
 
 
 def shell_nodes(delta, nth, nang):
@@ -397,3 +397,68 @@ def test_cutoff_non_finite_names_shell_node(monkeypatch, row):
         cutoff_commutator_check(bad, delta, spec)
     assert err.value.node == node
     assert np.isnan(err.value.value)
+
+
+def shell_first_non_finite(f, delta, quad):
+    """Whole-grid scan of the cutoff check's shell: (node, value) of its first nan/inf."""
+    nth = max(16, quad.shell_level // 3)
+    blocks, th, _, ang, _ = shell_nodes(delta, nth, 12)
+    t = np.concatenate([b[0] for b in blocks])
+    R, S = t[:, None] * np.cos(th), t[:, None] * np.sin(th)
+    A, B = ang[None, None, :, None], ang[None, None, None, :]
+    vals = np.broadcast_to(np.asarray(f(R[:, :, None, None], A, S[:, :, None, None], B), dtype=complex),
+                           (t.size, nth, 12, 12))
+    i, j, k, l = np.argwhere(~np.isfinite(vals))[0]
+    return (float(R[i, j]), float(ang[k]), float(S[i, j]), float(ang[l])), vals[i, j, k, l]
+
+
+# (t-row, theta, a, b) -> value on the 78 x 16 x 12 x 12 shell in slabs of 5 t-rows,
+# and the first spoilt node; rows 75-77 are the ragged last slab
+SHELL_SPOILS = {
+    "imag-nan": ({(41, 5, 7, 2): complex(0.5, np.nan)}, (41, 5, 7, 2)),
+    # +inf and -inf in one angular row; |f|^2 is inf at both
+    "inf-pair": ({(23, 9, 4, 4): np.inf, (23, 9, 1, 11): -np.inf}, (23, 9, 1, 11)),
+    "last-slab": ({(76, 15, 0, 3): np.nan}, (76, 15, 0, 3)),
+}
+
+
+@pytest.mark.parametrize("case", SHELL_SPOILS)
+def test_cutoff_reduction_check_names_whole_grid_node(monkeypatch, case):
+    spec = QuadratureSpec(shell_level=24)
+    monkeypatch.setattr(quadrature, "_SLAB_NODES", 5 * 16 * 12 * 12)
+    delta = 0.3
+    blocks, th, _, ang, _ = shell_nodes(delta, 16, 12)
+    t = np.concatenate([b[0] for b in blocks])
+    node = lambda i, j, k, l: (float(t[i] * np.cos(th[j])), float(ang[k]), float(t[i] * np.sin(th[j])), float(ang[l]))
+    spoilt, first = SHELL_SPOILS[case]
+    hits = {node(*idx): v for idx, v in spoilt.items()}
+
+    def bad(r, a, s, b):
+        out = np.asarray(SKEW(r, a, s, b), dtype=complex)
+        for (nr, na, ns, nb), v in hits.items():
+            out = np.where((r == nr) & (a == na) & (s == ns) & (b == nb), v, out)
+        return out
+
+    with pytest.raises(NonFiniteIntegrandError) as err:
+        cutoff_commutator_check(bad, delta, spec)
+    whole_node, whole_value = shell_first_non_finite(bad, delta, spec)
+    assert err.value.node == whole_node == node(*first)
+    np.testing.assert_equal(err.value.value, whole_value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_cutoff_overflow_is_not_an_error():
+    spec = QuadratureSpec(shell_level=24)
+    delta = 0.3
+    # |f|^2 overflows on the log layer (t < delta) only: the report carries inf, as the reference does
+    inner = lambda r, a, s, b: np.where(r * r + s * s < delta * delta, 1e200, 1.0) * np.exp(1j * (a - b))
+    rep = cutoff_commutator_check(inner, delta, spec)
+    ref = cutoff_broadcast_reference(inner, delta, spec)
+    assert rep.second_factor == rep.rhs == ref.second_factor == ref.rhs == np.inf
+    assert rep.lhs == pytest.approx(ref.lhs, rel=1e-14, abs=0.0)
+    assert rep.first_factor == pytest.approx(ref.first_factor, rel=1e-14, abs=0.0)
+    assert rep.l4_diverges == ref.l4_diverges
+    # everywhere: the outer rules both read inf, so the outer-rule check raises, not the finite check
+    with pytest.raises(ValueError, match="lhs is inf at 10 outer t-nodes and inf at 20") as err:
+        cutoff_commutator_check(lambda r, a, s, b: 1e200 * SKEW(r, a, s, b), delta, spec)
+    assert type(err.value) is ValueError

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hartogs import quadrature
-from hartogs.bergman import v_eval_arrays
+from hartogs.bergman import project, v_eval_arrays
 from hartogs.points import PolarPoint
 from hartogs.quadrature import (
     VOL_T,
@@ -195,8 +195,70 @@ def test_non_finite_in_last_slab_names_node(monkeypatch, level, rows):
     assert np.isnan(slabbed.value.value)
 
 
+def tensor_node(level, i, j, k, l):
+    """Node (r, alpha, s, beta) of the level^4 grid at x-row i, s-column j, angles k, l."""
+    xs, _ = _gl_unit(level)
+    ss, _ = _gl_unit(level)
+    ang, _ = _angular_nodes(level)
+    return (float(xs[i] * ss[j]), float(ang[k]), float(ss[j]), float(ang[l]))
+
+
+def spoil(base, values):
+    """base with values[node] at each listed grid node (r, alpha, s, beta)."""
+
+    def f(r, a, s, b):
+        out = np.asarray(base(r, a, s, b), dtype=complex)
+        for (nr, na, ns, nb), v in values.items():
+            out = np.where((r == nr) & (a == na) & (s == ns) & (b == nb), v, out)
+        return out
+
+    return f
+
+
+TENSOR_CALLERS = {"integrate_T": integrate_T, "project": lambda f, spec: project(f, 3, 3, spec)}
+
+# level 9 in slabs of 4 x-rows (the last slab is ragged, one row); the expected
+# node is the grid's first nan/inf one in (i, j, k, l) order
+TENSOR_SPOILS = {
+    "imag-nan": ({(5, 2, 3, 6): complex(1.0, np.nan)}, (5, 2, 3, 6)),
+    # +inf and -inf in one angular row: the angular sum of f is nan
+    "inf-pair": ({(5, 2, 3, 6): np.inf, (5, 2, 1, 7): -np.inf}, (5, 2, 1, 7)),
+    "last-slab": ({(8, 4, 7, 0): np.nan}, (8, 4, 7, 0)),
+}
+
+
+@pytest.mark.parametrize("caller", TENSOR_CALLERS)
+@pytest.mark.parametrize("case", TENSOR_SPOILS)
+def test_reduction_finite_check_names_whole_grid_node(monkeypatch, caller, case):
+    level = 9
+    monkeypatch.setattr(quadrature, "_SLAB_NODES", 4 * level**3)
+    spec = QuadratureSpec(level=level)
+    spoilt, first = TENSOR_SPOILS[case]
+    base = SLAB_FIELDS[3]
+    bad = spoil(base, {tensor_node(level, *idx): v for idx, v in spoilt.items()})
+    with pytest.raises(NonFiniteIntegrandError) as slabbed:
+        TENSOR_CALLERS[caller](bad, spec)
+    with pytest.raises(NonFiniteIntegrandError) as whole:
+        integrate_T_whole(bad, spec)
+    assert slabbed.value.node == whole.value.node == tensor_node(level, *first)
+    np.testing.assert_equal(slabbed.value.value, whole.value.value)
+    np.testing.assert_equal(slabbed.value.value, complex(spoilt[first]))
+
+
+@pytest.mark.parametrize("big", [1e200, 1e308])
+def test_integrate_T_overflow_is_not_an_error(monkeypatch, big):
+    # finite nodes: 1e200 sums to a finite value, 1e308 overflows the angular sums
+    # of the rows with x > 0.8 (the last two of nine, one per slab) to inf
+    monkeypatch.setattr(quadrature, "_SLAB_NODES", 4 * 9**3)
+    spec = QuadratureSpec(level=9)
+    f = lambda r, a, s, b: np.where(r > 0.8 * s, big, 1.0) * np.exp(1j * (a - b))
+    value = integrate_T(f, spec)
+    np.testing.assert_equal(value, integrate_T_whole(f, spec))  # bitwise, nan where the reference has nan
+    assert np.isfinite(value) == (big == 1e200)
+
+
 def test_integrate_T_memory_is_slab_bound():
-    # the whole level-64 grid is 268 MB complex; one slab is 16 MB
+    # the whole level-64 grid is 268 MB complex; one slab is 16 MB; traced peak 25.3 MB
     f = lambda r, a, s, b: np.abs(v_eval_arrays(3, 5, r, a, s, b)) ** 2
     tracemalloc.start()
     try:
@@ -204,7 +266,7 @@ def test_integrate_T_memory_is_slab_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64_000_000
+    assert peak < 28_000_000
 
 
 @settings(max_examples=30, deadline=None)
