@@ -16,11 +16,10 @@ Derivatives stay in the family: d/dz v_jk = j v_{j-1,k-1} and
 d/dw v_jk = (k-j) v_{j,k-1}.
 
 Evaluation uses the polar form (powers of r, s and one complex exponential)
-to stay stable near w -> 0 for k = -1.  Inner products ride on the tensor
-rule of :func:`hartogs.quadrature.integrate_T`; Gram blocks additionally use
-the factorized form of the very same quadrature sum, which is exact for these
-integrands: one table of angular sums per distinct mode difference and one
-table of radial sums per distinct power pair, combined entry by entry.
+to stay stable near w -> 0 for k = -1.  Gram blocks use the factorized form
+of the tensor rule of :func:`hartogs.quadrature.integrate_T`, which is exact
+for these integrands: one table of angular sums per distinct mode difference
+and one table of radial sums per distinct power pair, combined entry by entry.
 
 The truncated kernel is a factored power sum: v_jk(p) conj(v_jk(q)) =
 X^j Y^k with X = z conj(zeta) / (w conj(eta)) and Y = w conj(eta), so the
@@ -36,21 +35,17 @@ from typing import Callable
 import numpy as np
 
 from .points import PolarPoint
-from .quadrature import QuadratureSpec, integrate_T, _gl_unit, _angular_nodes, _grid_slabs, _check_slab
+from .quadrature import QuadratureSpec, _gl_unit, _angular_nodes, _grid_slabs, _check_slab
 
 __all__ = [
     "LaurentIndex",
     "LaurentCoefficients",
-    "v_eval",
     "v_eval_arrays",
     "v_field",
     "v_norm_sq",
-    "inner_product",
     "basis_gram",
     "block_indices",
     "project",
-    "reconstruct",
-    "reconstruct_field",
     "kernel_truncated",
 ]
 
@@ -80,11 +75,6 @@ def v_eval_arrays(j: int, k: int, r, alpha, s, beta):
     return r**j * s ** (k - j) * np.exp(1j * (j * np.asarray(alpha) + (k - j) * np.asarray(beta)))
 
 
-def v_eval(idx: LaurentIndex, p: PolarPoint) -> complex:
-    """Evaluate v_jk at a point; requires s > 0."""
-    return complex(v_eval_arrays(idx.j, idx.k, p.r, p.alpha, p.s, p.beta))
-
-
 def v_field(idx: LaurentIndex) -> Callable:
     """v_jk as a field f(r, alpha, s, beta) for the quadrature routines."""
     j, k = idx.j, idx.k
@@ -98,11 +88,6 @@ def v_norm_sq(idx: LaurentIndex) -> float:
     ``_inverse_norms``; the norms are then an array of the same divisions.
     """
     return np.pi**2 / ((idx.j + 1) * (idx.k + 2))
-
-
-def inner_product(f: Callable, g: Callable, spec: QuadratureSpec) -> complex:
-    """L^2(T) pairing (f, g) = integral of f * conj(g)."""
-    return integrate_T(lambda r, a, s, b: f(r, a, s, b) * np.conj(g(r, a, s, b)), spec)
 
 
 def block_indices(jmax: int, kmax: int) -> list[LaurentIndex]:
@@ -169,12 +154,6 @@ class LaurentCoefficients:
             sum(abs(a) ** 2 * v_norm_sq(LaurentIndex(j, k)) for (j, k), a in self.entries.items())
         )
 
-    def bessel_residual(self) -> float | None:
-        """||f||^2 - Bessel sum; nonnegative up to quadrature error."""
-        if self.f_norm_sq is None:
-            return None
-        return self.f_norm_sq - self.weighted_energy()
-
 
 def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentCoefficients:
     """Orthogonal projection coefficients a_jk = (f, v_jk) / ||v_jk||^2.
@@ -221,23 +200,6 @@ def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentC
         pairing = complex(np.sum(F[:, :, lpos[l], mpos[m]] * rad))
         entries[(idx.j, idx.k)] = pairing / v_norm_sq(idx)
     return LaurentCoefficients(entries=entries, jmax=jmax, kmax=kmax, f_norm_sq=norm_sq)
-
-
-def reconstruct_field(coeffs: LaurentCoefficients) -> Callable:
-    """The expansion as a field usable by integrate_T / project."""
-
-    def f(r, alpha, s, beta):
-        total = np.zeros(np.broadcast(r, alpha, s, beta).shape, dtype=complex)
-        for (j, k), a in coeffs.entries.items():
-            total = total + a * v_eval_arrays(j, k, r, alpha, s, beta)
-        return total
-
-    return f
-
-
-def reconstruct(coeffs: LaurentCoefficients, p: PolarPoint) -> complex:
-    """Pointwise sum of the stored expansion at p."""
-    return complex(reconstruct_field(coeffs)(p.r, p.alpha, p.s, p.beta))
 
 
 def _inverse_norms(jmax: int, kmax: int) -> np.ndarray:

@@ -53,7 +53,7 @@ The shell's t-rule is split where chi_delta is.  On (delta, 2 delta), with
 t = delta (1 + x), |dbar chi|^2 = S'(x)^2 / (4 delta^2) is a polynomial of
 degree 8 in x, so the radial factors S'^2 t^3 (f = 1), S'^4 t^3 (the first
 factor) and S'^2 t (|f| = 1/|w|) have degrees 11, 19 and 9, and 10 Gauss
-nodes integrate each exactly.  dchi_delta vanishes on (0, delta), where only
+nodes integrate each exactly.  d chi_delta vanishes on (0, delta), where only
 int |f|^4 is left, on the log layer (dt = t dy).  For |f| = 1/|w| the
 integrand t^4 |f|^4 is constant in y, so the sum grows linearly in Y;
 comparing the sums to Y and to 2Y is the divergence probe.
@@ -65,23 +65,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .points import PolarPoint
-from .quadrature import QuadratureSpec, integrate_T, _gl_unit, _angular_nodes, _grid_slabs, _check_slab
-from .bergman import v_eval_arrays
+from .quadrature import QuadratureSpec, _gl_unit, _angular_nodes, _grid_slabs, _check_slab
 
 __all__ = [
     "DeltaFamilySpec",
     "CutoffReport",
-    "u_delta_eval",
-    "dbar_u_delta_eval",
     "dbar_u_delta_norm",
     "l2_gap",
-    "w1_energy_u_delta",
-    "w1_energy_u_raw",
-    "smoothstep",
     "smoothstep_deriv",
-    "chi_delta",
-    "dchi_delta",
     "cutoff_commutator_check",
 ]
 
@@ -98,30 +89,6 @@ class DeltaFamilySpec:
             raise ValueError("j must be >= 0")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
-
-
-def _weight_arrays(delta: float, s):
-    s = np.asarray(s, dtype=float)
-    return np.where(s < delta, (s / delta) ** delta, 1.0)
-
-
-def u_delta_eval(fspec: DeltaFamilySpec, p: PolarPoint) -> complex:
-    """Pointwise u_delta: (s/delta)^delta * v_{j,-1} below the interface."""
-    if not p.in_T():
-        raise ValueError("point must lie in T")
-    base = v_eval_arrays(fspec.j, -1, p.r, p.alpha, p.s, p.beta)
-    return complex(_weight_arrays(fspec.delta, p.s) * base)
-
-
-def dbar_u_delta_eval(fspec: DeltaFamilySpec, p: PolarPoint) -> complex:
-    """Closed-form dbar u_delta = u (delta/2)(s/delta)^delta / wbar on T_delta."""
-    if not p.in_T():
-        raise ValueError("point must lie in T")
-    if p.s >= fspec.delta:
-        return 0j
-    base = v_eval_arrays(fspec.j, -1, p.r, p.alpha, p.s, p.beta)
-    wbar = p.s * np.exp(-1j * p.beta)
-    return complex(base * (fspec.delta / 2.0) * (p.s / fspec.delta) ** fspec.delta / wbar)
 
 
 #: The t-rules of the module docstring: the shell's outer Gauss nodes, checked
@@ -166,81 +133,12 @@ def l2_gap(fspec: DeltaFamilySpec, quad: QuadratureSpec) -> float:
     return float(np.sqrt((2.0 * np.pi) ** 2 * fspec.delta**2 * _x_moment(fspec.j) * radial))
 
 
-def w1_energy_u_delta(fspec: DeltaFamilySpec, quad: QuadratureSpec) -> float:
-    """Energy int_T (|d/dz u_delta|^2 + |d/dw u_delta|^2 + |dbar u_delta|^2).
-
-    Finite for every delta > 0: outside T_delta the integrand is that of
-    u = v_{j,-1} cut at s > delta (a logarithm), inside it carries the
-    regularizing weight (s/delta)^{2 delta}.  ``quad`` is not read.
-    """
-    j, delta = fspec.j, fspec.delta
-    four_pi2 = (2.0 * np.pi) ** 2
-
-    # s > delta: |d/dz u|^2 + |d/dw u|^2 reduce to (j/2 + (j+1)/2)/s, whose
-    # s-integral over (delta, 1) is ln(1/delta) in closed form
-    outer = four_pi2 * (j / 2.0 + (j + 1) / 2.0) * np.log(1.0 / delta)
-
-    # s < delta: weights (s/delta)^{2 delta} s^{2 delta - 1} profiles
-    cz = j / 2.0  # from j^2 * (r-fiber s^2/(2j))
-    cw = (delta / 2.0 - 1.0 - j) ** 2 / (2.0 * j + 2.0)
-    cbar = (delta / 2.0) ** 2 / (2.0 * j + 2.0)
-    inner = four_pi2 * (cz + cw + cbar) * _s_profile_integral(delta)
-    return float(outer + inner)
-
-
-def w1_energy_u_raw(j: int, level: int) -> float:
-    """Truncated quadrature of int_T |d u|^2 for u = v_{j,-1} at a level.
-
-    The true integral diverges logarithmically (the integrand reduces to a
-    multiple of 1/s); the returned value grows without bound as the level
-    increases, which is exactly the divergence witness used in tests.
-    """
-    spec = QuadratureSpec(level=level)
-
-    def energy(r, a, s, b):
-        dw = (-1 - j) * v_eval_arrays(j, -2, r, a, s, b)
-        total = np.abs(dw) ** 2
-        if j > 0:
-            dz = j * v_eval_arrays(j - 1, -2, r, a, s, b)
-            total = total + np.abs(dz) ** 2
-        return total
-
-    return float(integrate_T(energy, spec).real)
-
-
-def smoothstep(x):
-    """Quintic smoothstep: 0 below 0, 1 above 1, 6x^5-15x^4+10x^3 between."""
-    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    # the rounded polynomial overshoots 1 by up to 1.3e-15 within 6e-6 of x = 1
-    return np.minimum(x**3 * (x * (6.0 * x - 15.0) + 10.0), 1.0)
-
-
 def smoothstep_deriv(x):
     """Derivative of the quintic smoothstep; max 15/8 at x = 1/2."""
     x = np.asarray(x, dtype=float)
     inside = (x > 0.0) & (x < 1.0)
     xx = np.where(inside, x, 0.5)
     return np.where(inside, 30.0 * xx**2 * (1.0 - xx) ** 2, 0.0)
-
-
-def chi_delta(delta: float, p: PolarPoint) -> float:
-    """Radial cutoff: 0 on B_delta(0), 1 outside B_{2 delta}(0), C^2 joints."""
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    return float(smoothstep((p.norm() - delta) / delta))
-
-
-def dchi_delta(delta: float, p: PolarPoint) -> np.ndarray:
-    """Euclidean gradient of chi_delta as the real 4-vector
-    (d/dRe z, d/dIm z, d/dRe w, d/dIm w); norm <= (15/8)/delta."""
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    t = p.norm()
-    if t == 0.0:
-        return np.zeros(4)
-    g = smoothstep_deriv((t - delta) / delta) / delta
-    z, w = p.to_cartesian()
-    return (g / t) * np.array([z.real, z.imag, w.real, w.imag])
 
 
 @dataclass(frozen=True)
@@ -275,7 +173,8 @@ def cutoff_commutator_check(f, delta: float, quad: QuadratureSpec) -> CutoffRepo
     int |f|^4 at 10 and 20 nodes differ by more than 1e-11 relative: the
     10-node rule is exact when |f|^2 is radially polynomial on the outer
     layer, and a field for which it is not fails loudly instead of being
-    integrated inexactly.
+    integrated inexactly.  Equal values agree, so a |f|^2 that overflows to
+    inf under both rules gives a report carrying inf, as on the log layer.
 
     ``quadrature._grid_slabs`` evaluates f once on all rows, in t-slabs, each
     kept as its angular sums of |f|^2 and |f|^4; the weights and the t-only
@@ -314,7 +213,7 @@ def cutoff_commutator_check(f, delta: float, quad: QuadratureSpec) -> CutoffRepo
     dchi2 = [(smoothstep_deriv(x) / (2.0 * delta)) ** 2 for x, _ in outer]
     lhs = [float(np.sum(d[:, None] * b)) for d, b in zip(dchi2, np.split(f2 * W, ends))]
     for name, a, b in (("lhs", *lhs), ("outer int |f|^4", *l4[:2])):
-        if not abs(a - b) <= _OUTER_RTOL * abs(b):
+        if not (a == b or abs(a - b) <= _OUTER_RTOL * abs(b)):
             raise ValueError(f"cutoff shell at delta={delta!r}: {name} is {a!r} at {_OUTER_NODES} outer "
                              f"t-nodes and {b!r} at {2 * _OUTER_NODES}; |f|^2 is not radially polynomial "
                              f"on (delta, 2 delta)")

@@ -54,8 +54,8 @@ lower estimate of the cigar supremum, kept as the independent comparison.
 
 Each formula has one array implementation (``dist_boundary``,
 ``polar_lhs_arrays`` and the curve helpers ``_arc``, ``_length``,
-``_pieces``), shared by ``certify_uniform`` and ``verify_uniform``; the
-point-level functions and the ``Curve`` methods are scalar views on it.
+``_pieces``), shared by ``certify_uniform`` and ``verify_uniform``;
+``dist_bT``, ``dist_bTinf`` and the ``Curve`` methods are scalar views on it.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ __all__ = [
     "dist_bTinf",
     "dist_bT",
     "polar_lhs_arrays",
-    "polar_lhs",
     "connect_Tinf",
     "connect_T",
     "certify_uniform",
@@ -137,11 +136,6 @@ def polar_lhs_arrays(r1, a1, s1, b1, r2, a2, s2, b2):
     return np.abs(r1 - r2) + np.abs(s1 - s2) + np.minimum(r1, r2) * da + np.minimum(s1, s2) * db
 
 
-def polar_lhs(p1: PolarPoint, p2: PolarPoint) -> float:
-    """Scalar view of :func:`polar_lhs_arrays`."""
-    return float(polar_lhs_arrays(*_polar(p1), *_polar(p2)))
-
-
 def _polar(p: PolarPoint) -> tuple:
     return (p.r, p.alpha, p.s, p.beta)
 
@@ -196,19 +190,8 @@ class Curve:
     dalpha: float
     dbeta: float
 
-    @property
-    def q1(self) -> PolarPoint:
-        return PolarPoint(self.arc_r, self.p1.alpha, self.arc_s, self.p1.beta)
-
-    @property
-    def q2(self) -> PolarPoint:
-        return PolarPoint(self.arc_r, self.p2.alpha, self.arc_s, self.p2.beta)
-
     def _parts(self):
         return _polar(self.p1), _polar(self.p2), (self.arc_r, self.arc_s, self.dalpha, self.dbeta)
-
-    def arc_length(self) -> float:
-        return float(_length(*self._parts())[1])
 
     def length(self) -> float:
         """Closed-form total length |p1-q1| + arc + |q2-p2|."""

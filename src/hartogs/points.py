@@ -74,9 +74,6 @@ class PolarPoint:
     def from_cartesian(z: complex, w: complex) -> "PolarPoint":
         return PolarPoint(abs(z), float(np.angle(z)), abs(w), float(np.angle(w)))
 
-    def to_cartesian(self) -> tuple[complex, complex]:
-        return self.z, self.w
-
     @property
     def z(self) -> complex:
         return self.r * np.exp(1j * self.alpha)
@@ -84,10 +81,6 @@ class PolarPoint:
     @property
     def w(self) -> complex:
         return self.s * np.exp(1j * self.beta)
-
-    def norm(self) -> float:
-        """Euclidean norm |(z, w)| = sqrt(r^2 + s^2)."""
-        return float(np.hypot(self.r, self.s))
 
     def dist(self, other: "PolarPoint") -> float:
         """Euclidean distance in C^2, computed from polar data by ``euclid``."""

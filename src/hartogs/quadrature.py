@@ -65,13 +65,17 @@ VOL_T = np.pi**2 / 2.0
 #: grids of integrate_T and bergman.project and the shell grid of
 #: dbar.cutoff_commutator_check.  2^20 complex values are 16 MB,
 #: four x-rows at level 64.  Over the three level-64 grid calls of the
-#: benchmark's fine_grids workload (2 vCPUs, numpy 2.4), the traced peak is
-#: 17 MB at 2^18 nodes (one x-row), 36 MB at 2^20, 61 MB at 2^21 and 111 MB
-#: at 2^22; the whole grid (2^24 nodes) is 268 MB in one complex array alone.
-#: Time is flat within noise from 2^18 to 2^20 (about 0.5 s) and rises above
-#: (0.67 s at 2^21, 0.93 s at 2^22).  These slabs set that workload's
-#: resident peak: in one process the RSS is 61 MB after import, the level-64
-#: project calls take it to 98 MB, and the spectral part alone peaks at 85 MB.
+#: benchmark's fine_grids workload (2 vCPUs, numpy 2.4.6), the traced peak is
+#: 17 MB at 2^18 nodes (one x-row), 23 MB at 2^19, 36 MB at 2^20, 61 MB at
+#: 2^21 and 111 MB at 2^22; the whole grid (2^24 nodes) is 268 MB in one
+#: complex array alone.  In two runs of five repetitions, sizes interleaved,
+#: the median time was 0.46-0.51 s at 2^18 and at 2^19, 0.47-0.55 s at 2^20,
+#: 0.63-0.73 s at 2^21 and 0.81-0.91 s at 2^22.  Time does not favour 2^20
+#: over the smaller slabs, which are as fast within noise; 2^20 stays until
+#: the benchmark shows what a smaller slab does to the workload's resident
+#: peak.  These slabs set that peak: in one process the RSS is 61 MB after
+#: import, the level-64 project calls take it to 98 MB, and the spectral part
+#: alone peaks at 85 MB.
 _SLAB_NODES = 2**20
 
 

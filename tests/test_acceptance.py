@@ -15,9 +15,14 @@ docstring:
   integrand is exactly scale-invariant, and |f|^4 is not integrable.
 """
 
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,7 +138,7 @@ def test_criterion_05_dilation_law():
         rel = abs(scaled - direct) / direct
         worst = max(worst, rel)
         assert rel <= 1e-2, (
-            f"profile form {scaled!r} vs direct {direct!r} at |p|={p.norm():.3f}, "
+            f"profile form {scaled!r} vs direct {direct!r} at |p|={np.hypot(p.r, p.s):.3f}, "
             f"rho={rho:.3f}: relative gap {rel:.2e} > 1%"
         )
     elapsed = time.perf_counter() - t0
@@ -311,3 +316,34 @@ def test_criterion_12_determinism(tmp_path):
     assert payloads[0] == payloads[1], "identical configs produced different reports"
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0, f"took {elapsed:.1f}s, budget 600s"
+
+
+def _has_avx512_kernels() -> bool:
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return bool(__cpu_features__.get("X86_V4"))
+
+
+@pytest.mark.skipif(not _has_avx512_kernels(), reason="numpy runs no X86_V4 (AVX-512) kernels here, so "
+                    "NPY_DISABLE_CPU_FEATURES=X86_V4 cannot change the SIMD target")
+def test_determinism_across_simd_targets(tmp_path):
+    # the seed-7 report without numpy's AVX-512 kernels and with one BLAS thread agrees with
+    # the default run cell for cell, observed values to rounding (adr.dilation is pure roundoff)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), NPY_DISABLE_CPU_FEATURES="X86_V4", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "hartogs", "all", "--seed", "7", "--format", "csv",
+                           "--out", str(tmp_path / "x86_v3.csv")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(["all", "--seed", "7", "--format", "csv", "--out", str(tmp_path / "default.csv")]) == 0
+    reports = []
+    for name in ("default.csv", "x86_v3.csv"):
+        with open(tmp_path / name, newline="") as fh:
+            reports.append(list(csv.DictReader(fh)))
+    default, other = reports
+    assert [r["check_id"] for r in other] == [r["check_id"] for r in default] and len(default) == 33
+    for a, b in zip(default, other):
+        for cell in ("claim", "parameter_json", "expected", "tolerance", "pass"):
+            assert a[cell] == b[cell], f"{a['check_id']}: {cell} {a[cell]!r} vs {b[cell]!r}"
+        x, y = float(a["observed"]), float(b["observed"])
+        assert abs(x - y) <= max(1e-12 * abs(x), 1e-15), f"{a['check_id']}: observed {x!r} vs {y!r}"

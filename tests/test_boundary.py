@@ -76,7 +76,7 @@ def test_ball_measure_monte_carlo():
     rho = 0.6
     rng = np.random.default_rng(12)
     n = 4_000_000
-    t_lo, t_hi = p.norm() - rho, p.norm() + rho
+    t_lo, t_hi = np.hypot(p.r, p.s) - rho, np.hypot(p.r, p.s) + rho
     t = rng.uniform(t_lo, t_hi, n)
     da = rng.uniform(-np.pi, np.pi, n)
     db = rng.uniform(-np.pi, np.pi, n)
@@ -108,7 +108,7 @@ def test_origin_ball():
 
 def test_small_rho_far_from_apex():
     p = cone_point(1.0, 0.0, 0.0)
-    rho = p.norm() / 100
+    rho = np.hypot(p.r, p.s) / 100
     ratio = sigma_ball_Tinf(p, rho, SPEC) / rho**3
     assert ratio == pytest.approx(4 * np.pi / 3, rel=2e-2)
 

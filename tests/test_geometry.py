@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hartogs import geometry
 from hartogs.checks import RunParams, run_uniform
 from hartogs.geometry import (
+    _polar,
     C_T,
     C_TINF,
     certify_uniform,
@@ -16,7 +17,6 @@ from hartogs.geometry import (
     connect_Tinf,
     dist_bT,
     dist_bTinf,
-    polar_lhs,
     polar_lhs_arrays,
     verify_uniform,
 )
@@ -92,9 +92,9 @@ def test_dist_bT_brute_force():
 def test_polar_lhs_examples():
     p = PolarPoint(1.0, 0.0, 1.0, 0.0)
     q = PolarPoint(1.0, np.pi, 1.0, 0.0)
-    assert polar_lhs(p, q) == pytest.approx(np.pi)
+    assert polar_lhs_arrays(*_polar(p), *_polar(q)) == pytest.approx(np.pi)
     assert 3 * p.dist(q) == pytest.approx(6.0)
-    assert polar_lhs(p, p) == 0.0
+    assert polar_lhs_arrays(*_polar(p), *_polar(p)) == 0.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -104,7 +104,7 @@ def test_polar_lhs_examples():
 )
 def test_polar_lhs_bound_fuzz(r1, a1, s1, b1, r2, a2, s2, b2):
     p, q = PolarPoint(r1, a1, s1, b1), PolarPoint(r2, a2, s2, b2)
-    assert polar_lhs(p, q) <= 3 * p.dist(q) + 1e-12
+    assert polar_lhs_arrays(*_polar(p), *_polar(q)) <= 3 * p.dist(q) + 1e-12
 
 
 def test_connect_Tinf_degenerate_arc():
@@ -155,7 +155,9 @@ def test_curve_reversal_symmetry():
         fwd = connect_T(pts[i], pts[i + 1])
         rev = connect_T(pts[i + 1], pts[i])
         assert fwd.length() == pytest.approx(rev.length(), abs=1e-12)
-        assert fwd.arc_length() == pytest.approx(rev.arc_length(), abs=1e-12)
+        # piece by piece: the arcs agree and the segments swap
+        seg1, arc, seg2 = geometry._length(*fwd._parts())
+        assert np.allclose(geometry._length(*rev._parts()), (seg2, arc, seg1), rtol=0.0, atol=1e-12)
 
 
 def test_curve_shrinks_to_segment():
@@ -364,7 +366,8 @@ def test_polar_lemma_one_coordinate():
 def test_polar_bound_extremal_pair_attains_sharp_constant():
     for r in (1e-6, 0.3, 1.7):
         p, q = PolarPoint(r, 0.4, r, -2.0), PolarPoint(r, 0.4 + np.pi, r, -2.0 + np.pi)
-        assert polar_lhs(p, q) / (3.0 * p.dist(q)) == pytest.approx(PI_OVER_3_SQRT2, rel=1e-12, abs=0.0)
+        ratio = polar_lhs_arrays(*_polar(p), *_polar(q)) / (3.0 * p.dist(q))
+        assert ratio == pytest.approx(PI_OVER_3_SQRT2, rel=1e-12, abs=0.0)
     assert PI_OVER_3_SQRT2 == pytest.approx(0.7404804897, abs=1e-10)
 
 

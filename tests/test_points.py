@@ -88,11 +88,6 @@ def test_dist_identity_and_symmetry():
     assert p.dist(q) == pytest.approx(q.dist(p), abs=1e-15)
 
 
-def test_norm():
-    p = PolarPoint(3.0, 0.7, 4.0, -0.2)
-    assert p.norm() == pytest.approx(5.0)
-
-
 def test_membership():
     assert PolarPoint(0.2, 0.0, 0.5, 0.0).in_T()
     assert not PolarPoint(0.6, 0.0, 0.5, 0.0).in_T()
@@ -106,6 +101,6 @@ def test_scaled():
     q = p.scaled(2.0)
     assert q.r == pytest.approx(0.4) and q.s == pytest.approx(1.0)
     assert q.alpha == p.alpha and q.beta == p.beta
-    assert q.norm() == pytest.approx(2.0 * p.norm())
+    assert np.hypot(q.r, q.s) == pytest.approx(2.0 * np.hypot(p.r, p.s))
     with pytest.raises(ValueError):
         p.scaled(-1.0)

@@ -178,7 +178,9 @@ def _poincare_by_quadrature(C, mode_cut, n_fields, seed, spec):
         size = int(rng.integers(2, 5))
         picks = rng.choice(len(pool), size=size, replace=False)
         coeffs = {pool[i]: complex(rng.normal(), rng.normal()) for i in picks}
-        g = bergman.reconstruct_field(bergman.LaurentCoefficients(coeffs, jmax=mode_cut, kmax=2 * mode_cut))
+
+        def g(r, a, s, b):
+            return sum(c * bergman.v_eval_arrays(j, k, r, a, s, b) for (j, k), c in coeffs.items())
 
         def energy_density(r, a, s, b):
             gz = gw = 0j
