@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .points import PolarPoint
-from .quadrature import QuadratureSpec, _gl_unit, _angular_nodes, _grid_slabs, _check_slab
+from .quadrature import QuadratureSpec, _gl_unit, _angular_nodes, _slab_sums
 
 __all__ = [
     "LaurentIndex",
@@ -158,14 +158,14 @@ class LaurentCoefficients:
 def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentCoefficients:
     """Orthogonal projection coefficients a_jk = (f, v_jk) / ||v_jk||^2.
 
-    Evaluates f once on the tensor grid, one x-slab at a time (memory
-    O(level^3)): each slab gives its angular sums of |f|^2 and its angular
-    transform onto the block's mode pairs, two matrix products that contract
-    alpha onto the jmax + 1 l-modes first and then beta onto the m-modes;
-    then everything reduces radially.  This is the plain quadrature pairing,
-    node for node; ``f_norm_sq`` does not depend on the slab size, the
-    coefficients to rounding.  Raises NonFiniteIntegrandError (a ValueError)
-    at the first node where f is nan/inf, found through the sums of |f|^2.
+    Evaluates f once on the tensor grid, in x-slabs of
+    ``quadrature._slab_sums``: each slab gives its angular sums of |f|^2,
+    which carry the finite check, and its angular transform onto the block's
+    mode pairs, two matrix products that contract alpha onto the jmax + 1
+    l-modes first and then beta onto the m-modes; then everything reduces
+    radially.  This is the plain quadrature pairing, node for node;
+    ``f_norm_sq`` does not depend on the slab size, the coefficients to
+    rounding.
     """
     idxs = block_indices(jmax, kmax)
     n = spec.level
@@ -177,17 +177,14 @@ def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentC
     ms = sorted({idx.modes[1] for idx in idxs})
     El = np.exp(-1j * np.outer(ls, ang)) * wang  # (nl, n)
     EmT = (np.exp(-1j * np.outer(ms, ang)) * wang).T  # (n, nm)
-    sq = np.empty((n, n))
-    F = np.empty((n, n, len(ls), len(ms)), dtype=complex)
-    R, S = xs[:, None] * ss, np.broadcast_to(ss, (n, n))
-    for rows, vals in _grid_slabs(f, R, S, ang):
-        sq[rows] = (np.abs(vals) ** 2).sum(axis=(2, 3))
-        _check_slab(sq[rows], vals, rows, R, S, ang)
+
+    def reduce(vals):
+        yield (np.abs(vals) ** 2).sum(axis=(2, 3))
         # F[x, s, l, m] = sum_ab f(x,s,a,b) e^{-i(l a + m b)} w_a w_b; alpha first,
         # onto the fewer modes (nl = jmax + 1 <= nm = jmax + kmax + 2)
-        F[rows] = (El @ vals) @ EmT
-        del vals
+        yield (El @ vals) @ EmT
 
+    sq, F = _slab_sums(f, xs[:, None] * ss, np.broadcast_to(ss, (n, n)), ang, reduce)
     W = (wxs * xs)[:, None] * (wss * ss**3)[None, :]
     norm_sq = float(np.sum(sq * W) * wang * wang)
     lpos = {l: i for i, l in enumerate(ls)}

@@ -136,7 +136,7 @@ def _rules(ms: tuple) -> tuple[np.ndarray, list]:
         x, wx = _cosine_gauss(m)
         parts.append((slice(start, start + m), x, wx))
         start += m
-    return (parts[0][1] if len(ms) == 1 else np.concatenate([x for _, x, _ in parts])), parts
+    return np.concatenate([x for _, x, _ in parts]), parts
 
 
 def _balls(az, aw, rho, *more):

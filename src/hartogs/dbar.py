@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, _gl_unit, _angular_nodes, _grid_slabs, _check_slab
+from .quadrature import QuadratureSpec, _gl_unit, _angular_nodes, _slab_sums
 
 __all__ = [
     "DeltaFamilySpec",
@@ -176,11 +176,9 @@ def cutoff_commutator_check(f, delta: float, quad: QuadratureSpec) -> CutoffRepo
     integrated inexactly.  Equal values agree, so a |f|^2 that overflows to
     inf under both rules gives a report carrying inf, as on the log layer.
 
-    ``quadrature._grid_slabs`` evaluates f once on all rows, in t-slabs, each
-    kept as its angular sums of |f|^2 and |f|^4; the weights and the t-only
-    |dbar chi_delta|^2 apply after the loop.  The sums of |f|^2 are the finite
-    check (``quadrature._check_slab``): NonFiniteIntegrandError names the first
-    shell node where f is nan/inf.
+    ``quadrature._slab_sums`` evaluates f once on all rows, in t-slabs, each
+    kept as its angular sums of |f|^2, which carry the finite check, and of
+    |f|^4; the weights and the t-only |dbar chi_delta|^2 apply after the loop.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2] so the shell stays in T")
@@ -195,15 +193,13 @@ def cutoff_commutator_check(f, delta: float, quad: QuadratureSpec) -> CutoffRepo
     t_log = delta * np.exp(-y)
     t = np.concatenate([delta * (1.0 + x) for x, _ in outer] + [t_log])
     wt = np.concatenate([delta * wx for _, wx in outer] + [wy * t_log])
-    f2 = np.empty((t.size, nth))
-    f4 = np.empty((t.size, nth))
-    R, S = t[:, None] * np.cos(th), t[:, None] * np.sin(th)
-    for rows, vals in _grid_slabs(f, R, S, ang):
+
+    def reduce(vals):
         a2 = np.abs(vals) ** 2
-        f2[rows] = np.einsum("ijkl->ij", a2)
-        _check_slab(f2[rows], vals, rows, R, S, ang)
-        f4[rows] = np.einsum("ijkl,ijkl->ij", a2, a2)
-        del vals, a2  # free slab k before f runs on slab k + 1
+        yield np.einsum("ijkl->ij", a2)
+        yield np.einsum("ijkl,ijkl->ij", a2, a2)
+
+    f2, f4 = _slab_sums(f, t[:, None] * np.cos(th), t[:, None] * np.sin(th), ang, reduce)
     wt = wt * t**3
     W = wt[:, None] * wth * wang * wang
 

@@ -19,19 +19,15 @@ Rule layout per axis, all sizes equal to ``QuadratureSpec.level``:
   trigonometric polynomials of degree < level.  This makes angular-mode
   orthogonality an identity of the discrete rule, not a tolerance race.
 
-Memory: no 4-D grid is held whole.  One slab evaluator, ``_grid_slabs``,
-takes 2-D radial node arrays R[i, j], S[i, j] and the angular nodes, and
-yields the integrand on consecutive row-slabs of at most ``_SLAB_NODES``
-nodes.  It serves ``integrate_T`` and ``bergman.project`` (x-slabs of the
-tensor grid, (R, S) = (x s, s)) and ``dbar.cutoff_commutator_check``
-(t-slabs of the shell grid, (R, S) = (t cos theta, t sin theta)).  Each
-caller keeps only per-(i, j) angular reductions, so memory is O(level^3).
-Each slab is evaluated exactly as the whole grid would be, row for row, so
-``integrate_T`` does not depend on the slab size; ``project``'s angular
-transform may round differently in the last bits.  The finite check is on
-the reductions: each caller passes its per-slab angular sums (of f, or of
-|f|^2) to ``_check_slab``, which scans the slab's nodes only when a sum is
-nan/inf, and then names the same first nan/inf node as a whole-grid scan.
+Memory: no 4-D grid is held whole.  ``_slab_sums`` evaluates f in row-slabs
+of at most ``_SLAB_NODES`` nodes and keeps only the caller's per-(i, j)
+angular reductions, so memory is O(level^3); it also holds the finite check.
+Its callers are ``integrate_T`` and ``bergman.project`` (x-slabs of the tensor
+grid, (R, S) = (x s, s)) and ``dbar.cutoff_commutator_check`` (t-slabs of the
+shell grid, (R, S) = (t cos theta, t sin theta)).  Each slab is evaluated
+exactly as the whole grid would be, row for row, so ``integrate_T`` does not
+depend on the slab size; ``project``'s angular transform may round differently
+in the last bits.
 
 Randomness: ``sample_T`` rejection-samples the unit bidisk (accept |z| < |w|,
 acceptance rate 1/2) using numpy's default_rng, i.e. the PCG64 generator.
@@ -61,7 +57,7 @@ __all__ = [
 #: Volume of T: int_T dV = (2 pi)^2 * int_0^1 s^3/2 ds = pi^2 / 2.
 VOL_T = np.pi**2 / 2.0
 
-#: Nodes per slab of ``_grid_slabs``, for all three of its users: the level^4
+#: Nodes per slab of ``_slab_sums``, for all three of its callers: the level^4
 #: grids of integrate_T and bergman.project and the shell grid of
 #: dbar.cutoff_commutator_check.  2^20 complex values are 16 MB,
 #: four x-rows at level 64.  Over the three level-64 grid calls of the
@@ -149,44 +145,47 @@ def _angular_nodes(n: int) -> tuple[np.ndarray, float]:
     return nodes, 2.0 * np.pi / n
 
 
-def _grid_slabs(f: Callable, R: np.ndarray, S: np.ndarray, ang: np.ndarray):
-    """Yield (rows, vals): f on consecutive row-slabs (at least one row, at
-    most ``_SLAB_NODES`` nodes) of the 4-D grid (r, alpha, s, beta) =
-    (R[i, j], ang[k], S[i, j], ang[l]), broadcast to full complex slab shape.
+def _slab_sums(f: Callable, R: np.ndarray, S: np.ndarray, ang: np.ndarray, reduce: Callable) -> list:
+    """Per-(i, j) angular reductions of f over the 4-D grid (r, alpha, s,
+    beta) = (R[i, j], ang[k], S[i, j], ang[l]), evaluated in row-slabs.
 
-    Nothing is checked here: the caller reduces each slab and passes its
-    reduction to ``_check_slab``.
+    f is called once per slab of consecutive rows (at least one row, at most
+    ``_SLAB_NODES`` nodes), its values broadcast to the full complex slab
+    shape (rows, m, len(ang), len(ang)).  ``reduce(vals)`` is an iterable of
+    the slab's reductions, each an array whose first two axes are the slab's
+    (i, j); the slabs' reductions k are joined into whole-grid array k, and
+    the list of these arrays is returned.  Each slab is freed before f runs
+    on the next, so memory is one slab plus the reductions.
+
+    The finite check is on the first reduction, which must be a sum of f or
+    of |f|^2 over the angles: a sum is nan/inf whenever one of its nodes is,
+    so only a non-finite first reduction makes the slab be scanned.  The
+    check runs before the next reduction is taken, so a generator computes
+    no later reduction on a bad slab.  NonFiniteIntegrandError then names
+    the slab's first nan/inf node, which is the grid's first, since every
+    earlier slab had finite sums, and f runs on no later slab.  A non-finite
+    sum of finite values (overflow) raises nothing.
     """
     A = ang[None, None, :, None]
     B = ang[None, None, None, :]
     n, m = R.shape
     step = max(1, _SLAB_NODES // (m * ang.size * ang.size))
+    slabs = []
     for lo in range(0, n, step):
         rows = slice(lo, min(lo + step, n))
         vals = np.asarray(f(R[rows, :, None, None], A, S[rows, :, None, None], B), dtype=complex)
         vals = np.broadcast_to(vals, (rows.stop - lo, m, ang.size, ang.size))
-        yield rows, vals
-        del vals  # with the caller's del, slab k is freed before f runs on slab k + 1
-
-
-def _check_slab(reduced: np.ndarray, vals: np.ndarray, rows: slice, R: np.ndarray, S: np.ndarray,
-                ang: np.ndarray) -> None:
-    """Finite check of one slab of ``_grid_slabs``, through its reduction.
-
-    ``reduced`` holds the caller's per-(i, j) angular sums of f or of |f|^2
-    over the slab ``vals``; a sum is nan/inf whenever one of its nodes is, so
-    only a non-finite reduction makes the slab be scanned.
-    NonFiniteIntegrandError then names the slab's first nan/inf node, which is
-    the grid's first, since every earlier slab had finite sums.  A non-finite
-    sum of finite values (overflow) raises nothing.
-    """
-    if np.isfinite(reduced).all():
-        return
-    finite = np.isfinite(vals)
-    if not finite.all():
-        i, j, k, l = np.argwhere(~finite)[0]
-        node = (float(R[rows][i, j]), float(ang[k]), float(S[rows][i, j]), float(ang[l]))
-        raise NonFiniteIntegrandError(node, vals[i, j, k, l])
+        sums = iter(reduce(vals))
+        first = next(sums)
+        if not np.isfinite(first).all():
+            bad = np.argwhere(~np.isfinite(vals))
+            if bad.size:
+                i, j, a, b = bad[0]
+                node = (float(R[lo + i, j]), float(ang[a]), float(S[lo + i, j]), float(ang[b]))
+                raise NonFiniteIntegrandError(node, vals[i, j, a, b])
+        slabs.append([first, *sums])
+        del vals  # before f runs on the next slab
+    return [np.concatenate(parts) for parts in zip(*slabs)]
 
 
 def integrate_T(f: Callable, spec: QuadratureSpec) -> complex:
@@ -196,12 +195,9 @@ def integrate_T(f: Callable, spec: QuadratureSpec) -> complex:
     must return values (numpy semantics).  The result is always complex;
     real-valued callers take the real part themselves.
 
-    Raises NonFiniteIntegrandError if any sampled value is nan/inf, carrying
-    the first offending node; finite values whose sum overflows are not an
-    error, and the result is then inf or nan.
-
-    f is called once per x-slab (see ``_SLAB_NODES``), so memory is
-    O(level^3); each slab is reduced to its angular sums before the next.
+    f is evaluated in x-slabs by ``_slab_sums``, whose finite check runs on
+    the angular sums of f: NonFiniteIntegrandError names the first node where
+    f is nan/inf, and a sum that overflows gives an inf or nan result.
     """
     n = spec.level
     xs, wxs = _gl_unit(n)  # inner radius fraction x = r/s
@@ -209,12 +205,8 @@ def integrate_T(f: Callable, spec: QuadratureSpec) -> complex:
     ang, wang = _angular_nodes(n)
 
     # the angular rule has constant weight, so sum angles then weight radially
-    radial = np.empty((n, n), dtype=complex)
-    R, S = xs[:, None] * ss, np.broadcast_to(ss, (n, n))
-    for rows, vals in _grid_slabs(f, R, S, ang):
-        radial[rows] = np.einsum("ijkl->ij", vals)
-        _check_slab(radial[rows], vals, rows, R, S, ang)
-        del vals
+    (radial,) = _slab_sums(f, xs[:, None] * ss, np.broadcast_to(ss, (n, n)), ang,
+                           lambda vals: [np.einsum("ijkl->ij", vals)])
     # weight: (x s^3) dx ds dalpha dbeta
     w_rad = (wxs * xs)[:, None] * (wss * ss**3)[None, :]
     total = np.sum(radial * w_rad) * wang * wang

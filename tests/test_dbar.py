@@ -473,8 +473,15 @@ def test_cutoff_reduction_check_names_whole_grid_node(monkeypatch, case):
             out = np.where((r == nr) & (a == na) & (s == ns) & (b == nb), v, out)
         return out
 
+    calls = []
+
+    def counted(r, a, s, b):
+        calls.append(r.shape[0])
+        return bad(r, a, s, b)
+
     with pytest.raises(NonFiniteIntegrandError) as err:
-        cutoff_commutator_check(bad, delta, spec)
+        cutoff_commutator_check(counted, delta, spec)
+    assert len(calls) == first[0] // 5 + 1  # no slab after the one holding the first bad node
     whole_node, whole_value = shell_first_non_finite(bad, delta, spec)
     assert err.value.node == whole_node == node(*first)
     np.testing.assert_equal(err.value.value, whole_value)

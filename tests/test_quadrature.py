@@ -236,8 +236,15 @@ def test_reduction_finite_check_names_whole_grid_node(monkeypatch, caller, case)
     spoilt, first = TENSOR_SPOILS[case]
     base = SLAB_FIELDS[3]
     bad = spoil(base, {tensor_node(level, *idx): v for idx, v in spoilt.items()})
+    calls = []
+
+    def counted(r, a, s, b):
+        calls.append(r.shape[0])
+        return bad(r, a, s, b)
+
     with pytest.raises(NonFiniteIntegrandError) as slabbed:
-        TENSOR_CALLERS[caller](bad, spec)
+        TENSOR_CALLERS[caller](counted, spec)
+    assert len(calls) == first[0] // 4 + 1  # no slab after the one holding the first bad node
     with pytest.raises(NonFiniteIntegrandError) as whole:
         integrate_T_whole(bad, spec)
     assert slabbed.value.node == whole.value.node == tensor_node(level, *first)
