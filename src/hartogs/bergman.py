@@ -160,12 +160,14 @@ def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentC
 
     Evaluates f once on the tensor grid, in x-slabs of
     ``quadrature._slab_sums``: each slab gives its angular sums of |f|^2,
-    which carry the finite check, and its angular transform onto the block's
-    mode pairs, two matrix products that contract alpha onto the jmax + 1
-    l-modes first and then beta onto the m-modes; then everything reduces
-    radially.  This is the plain quadrature pairing, node for node;
-    ``f_norm_sq`` does not depend on the slab size, the coefficients to
-    rounding.
+    which carry the finite check, and its pairings with the block reduced
+    over every axis but x.  Two matrix products contract alpha onto the
+    jmax + 1 l-modes first and then beta onto the m-modes, and one more
+    contracts s with each index's radial weight s^k w_s s^3, so a slab
+    leaves a (rows, block size) array and the transform of the whole grid is
+    never held.  The x-weights x^j w_x x apply after the loop.  This is the
+    plain quadrature pairing, node for node; ``f_norm_sq`` does not depend on
+    the slab size, the coefficients to rounding.
     """
     idxs = block_indices(jmax, kmax)
     n = spec.level
@@ -177,25 +179,26 @@ def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentC
     ms = sorted({idx.modes[1] for idx in idxs})
     El = np.exp(-1j * np.outer(ls, ang)) * wang  # (nl, n)
     EmT = (np.exp(-1j * np.outer(ms, ang)) * wang).T  # (n, nm)
+    # index q of the block: its mode pair's positions, and its radial weights in s and in x
+    j = np.array([idx.j for idx in idxs])
+    k = np.array([idx.k for idx in idxs])
+    lq = np.searchsorted(ls, j)
+    mq = np.searchsorted(ms, k - j)
+    Ws = ss[:, None] ** k * (wss * ss**3)[:, None]  # (n, q)
+    Wx = xs[:, None] ** j * (wxs * xs)[:, None]  # (n, q)
 
     def reduce(vals):
         yield (np.abs(vals) ** 2).sum(axis=(2, 3))
         # F[x, s, l, m] = sum_ab f(x,s,a,b) e^{-i(l a + m b)} w_a w_b; alpha first,
         # onto the fewer modes (nl = jmax + 1 <= nm = jmax + kmax + 2)
-        yield (El @ vals) @ EmT
+        F = (El @ vals) @ EmT
+        yield np.einsum("isq,sq->iq", F[:, :, lq, mq], Ws)
 
-    sq, F = _slab_sums(f, xs[:, None] * ss, np.broadcast_to(ss, (n, n)), ang, reduce)
+    sq, P = _slab_sums(f, xs[:, None] * ss, np.broadcast_to(ss, (n, n)), ang, reduce)
     W = (wxs * xs)[:, None] * (wss * ss**3)[None, :]
     norm_sq = float(np.sum(sq * W) * wang * wang)
-    lpos = {l: i for i, l in enumerate(ls)}
-    mpos = {m: i for i, m in enumerate(ms)}
-
-    entries = {}
-    for idx in idxs:
-        l, m = idx.modes
-        rad = xs[:, None] ** idx.j * ss[None, :] ** idx.k * W
-        pairing = complex(np.sum(F[:, :, lpos[l], mpos[m]] * rad))
-        entries[(idx.j, idx.k)] = pairing / v_norm_sq(idx)
+    pairings = np.einsum("iq,iq->q", P, Wx)
+    entries = {(idx.j, idx.k): complex(a) / v_norm_sq(idx) for idx, a in zip(idxs, pairings)}
     return LaurentCoefficients(entries=entries, jmax=jmax, kmax=kmax, f_norm_sq=norm_sq)
 
 

@@ -150,7 +150,7 @@ class CutoffReport:
     rhs: float
     first_factor: float  # (int |dbar chi|^4)^(1/2)
     second_factor: float  # (int |f|^4)^(1/2) on the shared nodes
-    l4_diverges: bool
+    l4_diverges: bool | None  # None: a fourth-power sum is not finite, so the probe cannot tell
 
 
 def cutoff_commutator_check(f, delta: float, quad: QuadratureSpec) -> CutoffReport:
@@ -161,6 +161,8 @@ def cutoff_commutator_check(f, delta: float, quad: QuadratureSpec) -> CutoffRepo
     Cauchy-Schwarz inequality and holds for every f; the report carries the
     factor sizes.  A probe flags fields whose fourth power fails to be
     integrable: the log-layer sum over y in (Y, 2Y) exceeds 1% of int |f|^4.
+    When that tail sum or int |f|^4 is not finite (|f|^4 overflows, as for
+    1e100 / |w|), the two cannot be compared and ``l4_diverges`` is None.
 
     Nodes: (r, s) = t (cos theta, sin theta) with weight t^3 sin cos, Gauss
     in theta on (pi/4, pi/2) (max(16, ``QuadratureSpec.shell_level`` // 3)
@@ -215,7 +217,7 @@ def cutoff_commutator_check(f, delta: float, quad: QuadratureSpec) -> CutoffRepo
                              f"on (delta, 2 delta)")
     quart = np.sum(dchi2[0] ** 2 * wt[:_OUTER_NODES]) * np.sum(wth) * (nang * wang) ** 2
     fquart = l4[0] + l4[2]
-    diverges = l4[3] > 0.01 * max(fquart, 1e-300)
+    diverges = bool(l4[3] > 0.01 * max(fquart, 1e-300)) if np.isfinite([l4[3], fquart]).all() else None
     first, second = np.sqrt(quart), np.sqrt(fquart)
     return CutoffReport(delta=float(delta), lhs=lhs[0], rhs=float(first * second), first_factor=float(first),
-                        second_factor=float(second), l4_diverges=bool(diverges))
+                        second_factor=float(second), l4_diverges=diverges)

@@ -20,14 +20,16 @@ Rule layout per axis, all sizes equal to ``QuadratureSpec.level``:
   orthogonality an identity of the discrete rule, not a tolerance race.
 
 Memory: no 4-D grid is held whole.  ``_slab_sums`` evaluates f in row-slabs
-of at most ``_SLAB_NODES`` nodes and keeps only the caller's per-(i, j)
-angular reductions, so memory is O(level^3); it also holds the finite check.
-Its callers are ``integrate_T`` and ``bergman.project`` (x-slabs of the tensor
-grid, (R, S) = (x s, s)) and ``dbar.cutoff_commutator_check`` (t-slabs of the
-shell grid, (R, S) = (t cos theta, t sin theta)).  Each slab is evaluated
-exactly as the whole grid would be, row for row, so ``integrate_T`` does not
-depend on the slab size; ``project``'s angular transform may round differently
-in the last bits.
+of at most ``_SLAB_NODES`` nodes, one x-row at level 64, and keeps only the
+caller's per-row reductions; it also holds the finite check.  Its callers are
+``integrate_T`` and ``bergman.project`` (x-slabs of the tensor grid, (R, S) =
+(x s, s)) and ``dbar.cutoff_commutator_check`` (t-slabs of the shell grid,
+(R, S) = (t cos theta, t sin theta)).  ``integrate_T`` and the cutoff check
+keep one angular sum per (i, j); ``project`` reduces each slab to its
+pairings with the block, one per row and block index, so every pass holds
+about one slab.  Each slab is evaluated exactly as the whole grid would be,
+row for row, so ``integrate_T`` does not depend on the slab size;
+``project``'s transform may round differently in the last bits.
 
 Randomness: ``sample_T`` rejection-samples the unit bidisk (accept |z| < |w|,
 acceptance rate 1/2) using numpy's default_rng, i.e. the PCG64 generator.
@@ -59,20 +61,19 @@ VOL_T = np.pi**2 / 2.0
 
 #: Nodes per slab of ``_slab_sums``, for all three of its callers: the level^4
 #: grids of integrate_T and bergman.project and the shell grid of
-#: dbar.cutoff_commutator_check.  2^20 complex values are 16 MB,
-#: four x-rows at level 64.  Over the three level-64 grid calls of the
-#: benchmark's fine_grids workload (2 vCPUs, numpy 2.4.6), the traced peak is
-#: 17 MB at 2^18 nodes (one x-row), 23 MB at 2^19, 36 MB at 2^20, 61 MB at
-#: 2^21 and 111 MB at 2^22; the whole grid (2^24 nodes) is 268 MB in one
-#: complex array alone.  In two runs of five repetitions, sizes interleaved,
-#: the median time was 0.46-0.51 s at 2^18 and at 2^19, 0.47-0.55 s at 2^20,
-#: 0.63-0.73 s at 2^21 and 0.81-0.91 s at 2^22.  Time does not favour 2^20
-#: over the smaller slabs, which are as fast within noise; 2^20 stays until
-#: the benchmark shows what a smaller slab does to the workload's resident
-#: peak.  These slabs set that peak: in one process the RSS is 61 MB after
-#: import, the level-64 project calls take it to 98 MB, and the spectral part
-#: alone peaks at 85 MB.
-_SLAB_NODES = 2**20
+#: dbar.cutoff_commutator_check.  2^18 complex values are 4 MB, one x-row at
+#: level 64; the whole grid (2^24 nodes) is 268 MB in one complex array alone.
+#: At level 64 (2 vCPUs, numpy 2.4.6) the traced peak of integrate_T is 6.4 MB
+#: and that of project 6.6 MB; with 2^20-node slabs, and project holding its
+#: whole angular transform, they were 25.3 and 35.2 MB.  Over the three
+#: level-64 grid calls of the benchmark's fine_grids workload, in two runs of
+#: five repetitions with sizes interleaved, the median time was 0.38-0.44 s at
+#: 2^18 nodes, 0.37-0.42 s at 2^20 and 0.62-0.67 s at 2^22; the workload's
+#: wall time did not move.  Its resident peak fell from 104.1 MB to 91.7 MB
+#: (medians of ten runs each) and is now set by the Neumann eigensolves: in
+#: one process the RSS is 61 MB after import, and the workload's spectral
+#: calls alone take it to 85 MB, so a smaller slab would not lower it further.
+_SLAB_NODES = 2**18
 
 
 @dataclass(frozen=True)
@@ -146,16 +147,18 @@ def _angular_nodes(n: int) -> tuple[np.ndarray, float]:
 
 
 def _slab_sums(f: Callable, R: np.ndarray, S: np.ndarray, ang: np.ndarray, reduce: Callable) -> list:
-    """Per-(i, j) angular reductions of f over the 4-D grid (r, alpha, s,
-    beta) = (R[i, j], ang[k], S[i, j], ang[l]), evaluated in row-slabs.
+    """Per-row reductions of f over the 4-D grid (r, alpha, s, beta) =
+    (R[i, j], ang[k], S[i, j], ang[l]), evaluated in row-slabs.
 
     f is called once per slab of consecutive rows (at least one row, at most
     ``_SLAB_NODES`` nodes), its values broadcast to the full complex slab
     shape (rows, m, len(ang), len(ang)).  ``reduce(vals)`` is an iterable of
-    the slab's reductions, each an array whose first two axes are the slab's
-    (i, j); the slabs' reductions k are joined into whole-grid array k, and
-    the list of these arrays is returned.  Each slab is freed before f runs
-    on the next, so memory is one slab plus the reductions.
+    the slab's reductions, each an array whose first axis is the slab's rows
+    i; the other axes are the caller's (the angular sums keep j, and
+    ``bergman.project`` reduces j too).  The slabs' reductions k are joined
+    along that first axis into whole-grid array k, and the list of these
+    arrays is returned.  Each slab is freed before f runs on the next, so
+    memory is one slab plus the reductions.
 
     The finite check is on the first reduction, which must be a sum of f or
     of |f|^2 over the angles: a sum is nan/inf whenever one of its nodes is,

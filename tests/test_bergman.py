@@ -226,14 +226,15 @@ def test_project_norm_overflow_is_not_an_error(monkeypatch):
 
 
 def test_project_memory_is_slab_bound():
-    # the whole level-64 grid is 268 MB complex; one slab is 16 MB; traced peak 35.9 MB
+    # the whole level-64 grid is 268 MB complex, its angular transform onto the block 10.6 MB;
+    # one slab is one x-row, 4.2 MB; traced peak 6.6 MB
     tracemalloc.start()
     try:
         project(v_field(LaurentIndex(2, 3)), 8, 8, QuadratureSpec(level=64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40_000_000
+    assert peak < 10_000_000
 
 
 def test_projection_identity_on_basis():

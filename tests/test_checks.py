@@ -7,13 +7,16 @@ worst-case reduction to show that it turns its row to FAIL.
 
 import dataclasses
 import itertools
+import json
 import math
+import types
 
 import numpy as np
 import pytest
 
 from hartogs import bergman, boundary, checks, dbar, geometry, spectral
 from hartogs.checks import GATES, Gate, RunParams, poincare_field_check, run_command
+from hartogs.points import euclid
 
 SMALL = RunParams(
     level=8, surface_cells=128, shell_level=48, pairs=20, polar_pairs=1000, centers=2,
@@ -205,6 +208,48 @@ def test_flipped_l4_flag_fails_borderline(monkeypatch, small_rows, nth):
                 lambda rep: dataclasses.replace(rep, l4_diverges=not rep.l4_diverges))
     row = {row.check_id: row for row in run_command("dbar", SMALL)}["dbar.cutoff.borderline"]
     assert not row.passed and row.observed == math.inf
+
+
+# calls alternate the fields one, winv per delta: call 2 is one, call 3 is winv, at delta 2^-3
+@pytest.mark.parametrize("nth", [2, 3])
+def test_undecided_l4_flag_fails_borderline(monkeypatch, small_rows, nth):
+    # a probe that cannot tell (a fourth-power sum overflowed) is no evidence either way
+    assert small_rows["dbar.cutoff.borderline"].passed
+    _spoil_call(monkeypatch, dbar, "cutoff_commutator_check", nth,
+                lambda rep: dataclasses.replace(rep, l4_diverges=None))
+    row = {row.check_id: row for row in run_command("dbar", SMALL)}["dbar.cutoff.borderline"]
+    assert not row.passed and row.observed == math.inf
+
+
+def test_gradbound_observes_the_critical_points(monkeypatch, small_rows):
+    assert small_rows["dbar.cutoff.gradbound"].observed == 15.0 / 8.0
+    # shifted by 0.01, S' peaks at 0.51, not at one of the points {0, 1/2, 1} the row observes, so
+    # the scan finds a larger value and the row reads inf.  Only the battery sees the shifted
+    # profile: the cutoff shell keeps the true one, whose kink-free layer its outer rule requires
+    shifted = types.SimpleNamespace(**vars(dbar))
+    shifted.smoothstep_deriv = lambda x: dbar.smoothstep_deriv(np.asarray(x) - 0.01)
+    monkeypatch.setattr(checks, "dbar", shifted)
+    row = {row.check_id: row for row in run_command("dbar", SMALL)}["dbar.cutoff.gradbound"]
+    assert not row.passed and row.observed == math.inf
+
+
+def test_polar_bound_chunks_match_one_shot(monkeypatch):
+    n = 3 * checks._POLAR_CHUNK + 1234  # a ragged last chunk
+    params = dataclasses.replace(SMALL, domain="T", polar_pairs=n)
+    # scaled so that some pairs violate the bound and the count is not 0
+    original = geometry.polar_lhs_arrays
+    monkeypatch.setattr(geometry, "polar_lhs_arrays", lambda *pair: 1.4 * original(*pair))
+    row = run_command("uniform", params)[-1]
+    rng = np.random.default_rng(params.seed + 1)
+    r1, r2 = rng.uniform(0.0, 2.0, (2, n))
+    s1, s2 = rng.uniform(0.0, 2.0, (2, n))
+    a1, a2, b1, b2 = rng.uniform(-np.pi, np.pi, (4, n))
+    lhs = geometry.polar_lhs_arrays(r1, a1, s1, b1, r2, a2, s2, b2)
+    dist = euclid(r1, a1, s1, b1, r2, a2, s2, b2)
+    ratio = np.divide(lhs, 3.0 * dist, out=np.zeros_like(lhs), where=dist > 0)
+    assert row.check_id == "uniform.polar_bound"
+    assert row.observed == ratio.max()  # bitwise
+    assert json.loads(row.parameter_json)["violations"] == int(np.sum(ratio > 1.0)) > 0
 
 
 # calls alternate the fields one, winv per delta: call 2 is one, call 3 is winv, at delta 2^-3

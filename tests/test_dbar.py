@@ -302,6 +302,15 @@ def test_cutoff_l4_divergence_flag():
     assert cutoff_commutator_check(WINV, 0.1, SPEC).l4_diverges
 
 
+# c/w at delta = 0.3: from c = 1e100 on, |f|^4 overflows and the tail and total sums read inf
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("c, flag", [(1.0, True), (1e50, True), (1e100, None), (1e150, None), (1e200, None)])
+def test_cutoff_probe_cannot_tell_on_overflow(c, flag):
+    rep = cutoff_commutator_check(lambda r, a, s, b: c * WINV(r, a, s, b), 0.3, SPEC)
+    assert rep.l4_diverges is flag
+    assert (rep.second_factor == np.inf) is (flag is None)
+
+
 @pytest.mark.parametrize("k", range(2, 9))
 def test_cutoff_probe_spares_bounded_singular_field(k):
     # |f| = |w|^{-1/2}: |f|^4 = 1/|w|^2 is integrable, its log-layer tail is e^{-2Y}
@@ -396,8 +405,8 @@ def cutoff_broadcast_reference(f, delta, quad):
     (lhs, quart, outer), _, (_, _, inner), (_, _, tail) = [pieces(*b) for b in blocks]
     fquart = outer + inner
     first, second = np.sqrt(quart), np.sqrt(fquart)
-    return CutoffReport(delta, lhs, float(first * second), float(first), float(second),
-                        bool(tail > 0.01 * max(fquart, 1e-300)))
+    flag = bool(tail > 0.01 * max(fquart, 1e-300)) if np.isfinite([tail, fquart]).all() else None
+    return CutoffReport(delta, lhs, float(first * second), float(first), float(second), flag)
 
 
 @pytest.mark.parametrize("shell_level", [24, 96])

@@ -265,7 +265,7 @@ def test_integrate_T_overflow_is_not_an_error(monkeypatch, big):
 
 
 def test_integrate_T_memory_is_slab_bound():
-    # the whole level-64 grid is 268 MB complex; one slab is 16 MB; traced peak 25.3 MB
+    # the whole level-64 grid is 268 MB complex; one slab is one x-row, 4.2 MB; traced peak 6.4 MB
     f = lambda r, a, s, b: np.abs(v_eval_arrays(3, 5, r, a, s, b)) ** 2
     tracemalloc.start()
     try:
@@ -273,7 +273,7 @@ def test_integrate_T_memory_is_slab_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 28_000_000
+    assert peak < 10_000_000
 
 
 @settings(max_examples=30, deadline=None)
