@@ -207,7 +207,8 @@ class RunParams:
 
 # ---------------------------------------------------------------- uniform --
 
-#: Pairs per chunk of the polar bound; the 200,000 default draws are 12.8 MB.
+#: Pairs drawn and checked per chunk of the polar bound: 8 draws of 128 KB each, so memory
+#: does not grow with ``polar_pairs`` (the 200,000 default pairs are 12.8 MB of draws).
 _POLAR_CHUNK = 2**14
 
 
@@ -222,16 +223,22 @@ def run_uniform(params: RunParams) -> list[CheckRow]:
         rows.append(_row(f"uniform.{key}.cigar", base, rep.max_dist_ratio))
         rows.append(_row(f"uniform.{key}.containment", base, rep.min_boundary_dist))
 
-    rng = np.random.default_rng(params.seed + 1)
     n = params.polar_pairs
-    r1, r2 = rng.uniform(0.0, 2.0, (2, n))
-    s1, s2 = rng.uniform(0.0, 2.0, (2, n))
-    a1, a2, b1, b2 = rng.uniform(-np.pi, np.pi, (4, n))
-    # elementwise, so chunks give the one-shot maxima and counts; only the draws are held whole
+    # One stream per variable, in the one-shot draw order r1, r2, s1, s2, a1, a2, b1, b2 of
+    # default_rng(seed + 1): each float64 of Generator.uniform is one 64-bit PCG64 step, so the
+    # stream of variable v starts v * n steps in and the chunks repeat the one-shot draws bitwise.
+    state = np.random.default_rng(params.seed + 1).bit_generator.state
+    streams = []
+    for v, (lo, hi) in enumerate([(0.0, 2.0)] * 4 + [(-np.pi, np.pi)] * 4):
+        bits = np.random.PCG64()
+        bits.state = state
+        streams.append((np.random.Generator(bits.advance(v * n)), lo, hi))
+    # the bound is elementwise, so chunks give the one-shot maxima and counts
     worst, violations = [], 0
-    for lo in range(0, n, _POLAR_CHUNK):
-        c = slice(lo, lo + _POLAR_CHUNK)
-        pair = (r1[c], a1[c], s1[c], b1[c], r2[c], a2[c], s2[c], b2[c])
+    for start in range(0, n, _POLAR_CHUNK):
+        size = min(_POLAR_CHUNK, n - start)
+        r1, r2, s1, s2, a1, a2, b1, b2 = (gen.uniform(lo, hi, size) for gen, lo, hi in streams)
+        pair = (r1, a1, s1, b1, r2, a2, s2, b2)
         lhs = geometry.polar_lhs_arrays(*pair)
         dist = euclid(*pair)
         ratio = np.divide(lhs, 3.0 * dist, out=np.zeros_like(lhs), where=dist > 0)

@@ -27,15 +27,34 @@ lambda-hat the smallest nonzero eigenvalue over modes |l|, |m| <= mode_cut
 (modes enter through l^2, m^2, so nonnegative l, m suffice).  For
 mode_cut >= 1 that minimum is attained on the three modes (0, 0), (1, 0)
 and (0, 1), which are the only ones solved; see :func:`poincare_constant`.
+
+scipy's own OpenBLAS pool is loaded with one thread unless OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS is set; the results do not depend on it.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+# scipy's wheels carry their own OpenBLAS, which starts one worker per extra core when
+# scipy.sparse.linalg loads scipy.linalg.  The SuperLU factors and ARPACK solves run at up to
+# n = 192, 18,336 dofs, where a second thread adds no speed, and the idle worker busy-waits
+# after loading and after each threaded product, which costs CPU.  So scipy loads with one
+# BLAS thread unless a thread count is set; the environment is restored at once, so child
+# processes still see the caller's and numpy's pool is untouched.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_ONE_BLAS_THREAD = not any(var in os.environ for var in _BLAS_THREAD_VARS)
+if _ONE_BLAS_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+finally:
+    if _ONE_BLAS_THREAD:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 __all__ = [
     "ModeProblem",

@@ -324,26 +324,55 @@ def _has_avx512_kernels() -> bool:
     return bool(__cpu_features__.get("X86_V4"))
 
 
-@pytest.mark.skipif(not _has_avx512_kernels(), reason="numpy runs no X86_V4 (AVX-512) kernels here, so "
-                    "NPY_DISABLE_CPU_FEATURES=X86_V4 cannot change the SIMD target")
-def test_determinism_across_simd_targets(tmp_path):
-    # the seed-7 report without numpy's AVX-512 kernels and with one BLAS thread agrees with
-    # the default run cell for cell, observed values to rounding (adr.dilation is pure roundoff)
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), NPY_DISABLE_CPU_FEATURES="X86_V4", OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "hartogs", "all", "--seed", "7", "--format", "csv",
-                           "--out", str(tmp_path / "x86_v3.csv")],
+ROOT = Path(__file__).resolve().parent.parent
+
+#: the variables OpenBLAS reads for its thread count
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _subprocess_csv(tmp_path, name, args, **env_vars):
+    """Rows of ``hartogs <args> --format csv`` run in a fresh interpreter with no BLAS thread
+    count set except those in ``env_vars``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(PYTHONPATH=str(ROOT / "src"), **env_vars)
+    proc = subprocess.run([sys.executable, "-m", "hartogs", *args, "--format", "csv", "--out", str(tmp_path / name)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert cli.main(["all", "--seed", "7", "--format", "csv", "--out", str(tmp_path / "default.csv")]) == 0
-    reports = []
-    for name in ("default.csv", "x86_v3.csv"):
-        with open(tmp_path / name, newline="") as fh:
-            reports.append(list(csv.DictReader(fh)))
-    default, other = reports
-    assert [r["check_id"] for r in other] == [r["check_id"] for r in default] and len(default) == 33
+    return _read_csv(tmp_path / name)
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _assert_same_report(default, other):
+    """Cell for cell: every cell equal, observed values to rounding (adr.dilation is pure roundoff)."""
+    assert [r["check_id"] for r in other] == [r["check_id"] for r in default]
     for a, b in zip(default, other):
         for cell in ("claim", "parameter_json", "expected", "tolerance", "pass"):
             assert a[cell] == b[cell], f"{a['check_id']}: {cell} {a[cell]!r} vs {b[cell]!r}"
         x, y = float(a["observed"]), float(b["observed"])
         assert abs(x - y) <= max(1e-12 * abs(x), 1e-15), f"{a['check_id']}: observed {x!r} vs {y!r}"
+
+
+@pytest.mark.skipif(not _has_avx512_kernels(), reason="numpy runs no X86_V4 (AVX-512) kernels here, so "
+                    "NPY_DISABLE_CPU_FEATURES=X86_V4 cannot change the SIMD target")
+def test_determinism_across_simd_targets(tmp_path):
+    # the seed-7 report without numpy's AVX-512 kernels and with two BLAS threads in both
+    # pools agrees with the default run
+    other = _subprocess_csv(tmp_path, "x86_v3.csv", ["all", "--seed", "7"],
+                            NPY_DISABLE_CPU_FEATURES="X86_V4", OPENBLAS_NUM_THREADS="2")
+    assert cli.main(["all", "--seed", "7", "--format", "csv", "--out", str(tmp_path / "default.csv")]) == 0
+    default = _read_csv(tmp_path / "default.csv")
+    assert len(default) == 33
+    _assert_same_report(default, other)
+
+
+def test_spectrum_independent_of_blas_threads(tmp_path):
+    # scipy's BLAS pool loads with one thread by default; an explicit count of two threads the
+    # ARPACK products and gives the same spectrum rows
+    default = _subprocess_csv(tmp_path, "default.csv", ["spectrum", "--seed", "7"])
+    threaded = _subprocess_csv(tmp_path, "threaded.csv", ["spectrum", "--seed", "7"], OPENBLAS_NUM_THREADS="2")
+    assert len(default) == 5
+    _assert_same_report(default, threaded)

@@ -9,6 +9,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -250,6 +251,17 @@ def test_polar_bound_chunks_match_one_shot(monkeypatch):
     assert row.check_id == "uniform.polar_bound"
     assert row.observed == ratio.max()  # bitwise
     assert json.loads(row.parameter_json)["violations"] == int(np.sum(ratio > 1.0)) > 0
+
+
+def test_uniform_memory_does_not_hold_the_polar_draws():
+    # the 200,000 default pairs are 12.8 MB of draws; streamed by chunk the battery peaks at 2.5 MB traced
+    tracemalloc.start()
+    try:
+        run_command("uniform", RunParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 # calls alternate the fields one, winv per delta: call 2 is one, call 3 is winv, at delta 2^-3

@@ -282,3 +282,29 @@ def test_spectrum_table_rejects_sizes_without_constant(tmp_path, flags):
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert not (tmp_path / "s.csv").exists()
+
+
+# counts this process's threads after `import numpy` and again after `import hartogs`
+_THREAD_PROBE = """
+import os
+tasks = lambda: len(os.listdir("/proc/self/task"))
+import numpy
+before, env = tasks(), dict(os.environ)
+import hartogs
+print(tasks() - before, dict(os.environ) == env)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc/self/task to count threads and two cores for a BLAS worker")
+@pytest.mark.parametrize("setting, workers", [({}, 0), ({"OPENBLAS_NUM_THREADS": "2"}, 1)])
+def test_scipy_blas_pool_is_one_thread_unless_set(setting, workers):
+    # scipy's own OpenBLAS starts no worker unless a thread count is set, and the environment
+    # is left as it was; importing the whole package also catches a module loading scipy.linalg first
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                                             "OMP_NUM_THREADS")}
+    env.update(PYTHONPATH=str(ROOT / "src"), **setting)
+    proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(workers), "True"]
