@@ -14,6 +14,23 @@ reports     JSON/CSV report writers
 cli         command line entry point
 """
 
+import os
+import sys
+
+# numpy's OpenBLAS starts one worker per extra core when numpy is imported, and
+# an idle worker busy-waits, which costs CPU time.  The package's BLAS calls are
+# kept below the sizes at which OpenBLAS threads them, so numpy is loaded with
+# one BLAS thread unless a thread count is set.  The environment is restored at
+# once, so child processes see the caller's; a caller who imported numpy first
+# keeps its pool.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .points import PolarPoint, angle_diff, angle_wrap
 from .quadrature import VOL_T, QuadratureSpec, integrate_T, sample_T
 from .geometry import C_T, C_TINF, Curve, certify_uniform, connect_T, connect_Tinf, verify_uniform

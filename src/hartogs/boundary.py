@@ -46,7 +46,8 @@ agreeing.
 The node count is measured, not chosen: each ball runs its rule with 32
 nodes per piece and doubles while two successive values differ by more than
 1e-10 relative, returning the finer one.  ``QuadratureSpec.surface_cells``
-is the ceiling; a ball that reaches it without agreement raises ValueError.
+is the ceiling; a ball that reaches it without agreement raises
+:class:`BallNotConvergedError`, a ValueError.
 At 32 and 64 nodes the apex profile f(0) and the total sigma(bT) meet their
 closed forms to about 1e-15.
 
@@ -89,6 +90,7 @@ from .quadrature import QuadratureSpec, gauss_legendre
 
 __all__ = [
     "ADRReport",
+    "BallNotConvergedError",
     "ADR_WINDOW",
     "SIGMA_BT_TOTAL",
     "DIAM_T",
@@ -106,6 +108,11 @@ _AGREE_REL = 1e-10  # relative agreement of two successive rules that ends the d
 #: array, and the node arrays of a block of pieces.  The blocks keep a pass's
 #: memory from growing with the number of balls in it.
 _BLOCK_CELLS = 2**14
+
+
+class BallNotConvergedError(ValueError):
+    """A boundary ball whose rules still disagree at the node ceiling."""
+
 
 SIGMA_BT_TOTAL = (4.0 * _SQ2 / 3.0) * np.pi**2 + 2.0 * np.pi**2
 DIAM_T = 2.0 * _SQ2
@@ -201,9 +208,9 @@ def _measured(rule, ceiling: int, balls: tuple, todo: np.ndarray) -> np.ndarray:
     rule(ms, mask) gives the values with m nodes for each m in ``ms``, for the
     balls in ``mask`` (None: every ball).  One pass evaluates every ball in
     the mask ``todo`` at 32 and 64 nodes; each later doubling evaluates only
-    the balls not yet converged.  Balls outside ``todo`` are 0.  ValueError
-    names the first ball, and its last two values, whose next doubling would
-    pass ``ceiling`` first.
+    the balls not yet converged.  Balls outside ``todo`` are 0.
+    BallNotConvergedError names the first ball, and its last two values,
+    whose next doubling would pass ``ceiling`` first.
     """
     out = np.zeros(todo.size)
     if not np.count_nonzero(todo):
@@ -221,7 +228,7 @@ def _measured(rule, ceiling: int, balls: tuple, todo: np.ndarray) -> np.ndarray:
         i = int(np.flatnonzero(todo)[0])
         az, aw, rho = (float(x[i]) for x in balls)
         last = [float(v[i]) for v in (prev, values) if v is not None]
-        raise ValueError(
+        raise BallNotConvergedError(
             f"boundary ball (az={az!r}, aw={aw!r}, rho={rho!r}) not converged within {ceiling} nodes "
             f"per piece: last values {last!r}"
         )

@@ -276,16 +276,22 @@ def run_adr(params: RunParams) -> list[CheckRow]:
     rows.append(_row("adr.total", {"rho": boundary.DIAM_T}, boundary.sigma_ball_bT(p_cone, boundary.DIAM_T, spec)))
 
     rho_all = sorted(set(list(params.rho_set) + [x / 2.0 for x in params.rho_set]))
-    report = boundary.adr_scan(params.centers, rho_all, params.seed + 3, spec)
     scan_params = {"centers": params.centers, "rho_set": rho_all, "seed": params.seed + 3}
-    rows.append(_row("adr.scan.min", scan_params, report.min_ratio))
-    rows.append(_row("adr.scan.max", scan_params, report.max_ratio))
-
-    # samples run center by center over rho_all, which holds each rho and its rho/2
-    table = report.ratios().reshape(params.centers, len(rho_all))
-    hi = table[:, [rho_all.index(rho) for rho in params.rho_set]]
-    fac = hi / table[:, [rho_all.index(rho / 2.0) for rho in params.rho_set]]
-    rows.append(_row("adr.scan.refinement", scan_params, np.max(np.maximum(fac, 1.0 / fac))))
+    try:
+        report = boundary.adr_scan(params.centers, rho_all, params.seed + 3, spec)
+    except boundary.BallNotConvergedError:
+        # a ball that stays unresolved at the node ceiling bounds nothing: the
+        # three scan rows fail (-inf below the floor, inf above both caps)
+        lo, hi, refinement = -np.inf, np.inf, np.inf
+    else:
+        # samples run center by center over rho_all, which holds each rho and its rho/2
+        table = report.ratios().reshape(params.centers, len(rho_all))
+        fac = table[:, [rho_all.index(rho) for rho in params.rho_set]] \
+            / table[:, [rho_all.index(rho / 2.0) for rho in params.rho_set]]
+        lo, hi, refinement = report.min_ratio, report.max_ratio, np.max(np.maximum(fac, 1.0 / fac))
+    rows.append(_row("adr.scan.min", scan_params, lo))
+    rows.append(_row("adr.scan.max", scan_params, hi))
+    rows.append(_row("adr.scan.refinement", scan_params, refinement))
     return rows
 
 

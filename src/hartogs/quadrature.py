@@ -44,6 +44,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import numpy.polynomial.legendre  # noqa: F401  (numpy loads these two lazily: at import here,
+import numpy.random  # noqa: F401  not inside the first Gauss rule or the first draw)
 
 from .points import PolarPoint
 
@@ -70,9 +72,9 @@ VOL_T = np.pi**2 / 2.0
 #: five repetitions with sizes interleaved, the median time was 0.38-0.44 s at
 #: 2^18 nodes, 0.37-0.42 s at 2^20 and 0.62-0.67 s at 2^22; the workload's
 #: wall time did not move.  Its resident peak fell from 104.1 MB to 91.7 MB
-#: (medians of ten runs each) and is now set by the Neumann eigensolves: in
-#: one process the RSS is 61 MB after import, and the workload's spectral
-#: calls alone take it to 85 MB, so a smaller slab would not lower it further.
+#: (medians of ten runs each) and is set by the Neumann eigensolves: in one
+#: process the RSS is 30 MB after import, and the workload's spectral calls
+#: alone take it to 65 MB, so a smaller slab would not lower it further.
 _SLAB_NODES = 2**18
 
 

@@ -18,46 +18,39 @@ evaluated strictly inside the domain; no boundary condition is imposed,
 which is the natural (Neumann) variational setting.
 
 Eigenvalues come from shift-invert Lanczos on the symmetric standard form
-A = M^{-1/2} K M^{-1/2} of the pencil (stiffness K, diagonal mass M).  Each
-mode factors A + I/2 once, with SuperLU's symmetric minimum-degree ordering
-and diagonal pivots (A is an SPD 5-point stencil), and ARPACK applies that
-factor as its inverse operator.  The zero mode of (0, 0) is reproduced at
-roundoff level and the Poincare constant is estimated as 1/lambda-hat with
-lambda-hat the smallest nonzero eigenvalue over modes |l|, |m| <= mode_cut
-(modes enter through l^2, m^2, so nonnegative l, m suffice).  For
-mode_cut >= 1 that minimum is attained on the three modes (0, 0), (1, 0)
-and (0, 1), which are the only ones solved; see :func:`poincare_constant`.
+A = M^{-1/2} K M^{-1/2} of the pencil (stiffness K, diagonal mass M), with
+numpy alone.  Each mode factors A + I/2 once (:class:`_Factor`): every edge
+joins a cell on an odd anti-diagonal i + j to one on an even anti-diagonal,
+so the odd cells are eliminated by one diagonal solve, and the Schur
+complement on the even cells is block tridiagonal once consecutive even
+anti-diagonals are grouped into blocks.  Each block keeps its dense inverse,
+so a solve is one forward and one backward sweep of small matrix-vector
+products; :func:`solve_neumann` factors K itself the same way, with one cell
+pinned in the (0, 0) mode.  Lanczos reorthogonalises every step against all earlier vectors
+(two classical Gram-Schmidt passes) and stops when every wanted Ritz value
+has a residual estimate below 1e-14 of itself.  The zero mode of (0, 0) is
+reproduced at roundoff level and the Poincare constant is estimated as
+1/lambda-hat with lambda-hat the smallest nonzero eigenvalue over modes
+|l|, |m| <= mode_cut (modes enter through l^2, m^2, so nonnegative l, m
+suffice).  For mode_cut >= 1 that minimum is attained on the three modes
+(0, 0), (1, 0) and (0, 1), which are the only ones solved; see
+:func:`poincare_constant`.
 
-scipy's own OpenBLAS pool is loaded with one thread unless OPENBLAS_NUM_THREADS,
-GOTO_NUM_THREADS or OMP_NUM_THREADS is set; the results do not depend on it.
+Up to n = 192 every BLAS call stays below the sizes at which numpy's
+OpenBLAS starts a second thread, so the results do not depend on the thread
+count there (see ``_GEMV_ENTRIES``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-# scipy's wheels carry their own OpenBLAS, which starts one worker per extra core when
-# scipy.sparse.linalg loads scipy.linalg.  The SuperLU factors and ARPACK solves run at up to
-# n = 192, 18,336 dofs, where a second thread adds no speed, and the idle worker busy-waits
-# after loading and after each threaded product, which costs CPU.  So scipy loads with one
-# BLAS thread unless a thread count is set; the environment is restored at once, so child
-# processes still see the caller's and numpy's pool is untouched.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-_ONE_BLAS_THREAD = not any(var in os.environ for var in _BLAS_THREAD_VARS)
-if _ONE_BLAS_THREAD:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-try:
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-finally:
-    if _ONE_BLAS_THREAD:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-
 __all__ = [
     "ModeProblem",
+    "Stiffness",
+    "Mass",
     "SpectrumResult",
     "EigenSolverError",
     "build_mode",
@@ -68,9 +61,64 @@ __all__ = [
 
 _W4 = (2.0 * np.pi) ** 2
 
+#: Lanczos runs on (A + _SHIFT I)^{-1}, which is SPD since A is positive semidefinite.
+_SHIFT = 0.5
+#: Most cells in a block of several anti-diagonals; a longer anti-diagonal is
+#: a block of its own.  On 2 vCPUs (numpy 2.4.6), the spectrum battery and the
+#: benchmark's fine-grid eigensolves took 28.8 and 257 ms with 48, the same
+#: within 2% from 40 to 64, and 34.0 and 283 ms with 96, where ``inv`` costs
+#: 1.7 us per cell against 0.8 us at 48.
+_BLOCK = 48
+# In a two-thread pool on 2 vCPUs, numpy 2.4.6's OpenBLAS 0.3.31 kept ``inv``
+# up to 97 x 97, ``@`` of two matrices up to 100 x 100 and a 31 x 14000
+# matrix-vector product on one thread (31 x 16000 took two).  Blocks stay
+# within that up to n = 192, where an anti-diagonal holds 96 cells, and the
+# reorthogonalisation products are cut into column chunks of at most
+# _GEMV_ENTRIES entries.
+_GEMV_ENTRIES = 2**18
+#: Lanczos steps before giving up; 10 eigenvalues take about 45 on these grids.
+_LANCZOS_STEPS = 300
+#: Lanczos stops when every wanted Ritz value theta has |beta s_m| <= _RITZ_TOL theta.
+_RITZ_TOL = 1e-14
+
 
 class EigenSolverError(RuntimeError):
     """Eigen- or linear-solver failure, with the (l, m, n) context."""
+
+
+@dataclass(frozen=True)
+class Stiffness:
+    """The form sum_e w_e (g_a - g_b)^2 + sum_k p_k g_k^2: edge e joins cells
+    ``heads[e]`` and ``tails[e]`` with weight ``weights[e]``; ``potential`` is p."""
+
+    heads: np.ndarray
+    tails: np.ndarray
+    weights: np.ndarray
+    potential: np.ndarray
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        flux = self.weights * (u[self.heads] - u[self.tails])
+        size = self.potential.size
+        return self.potential * u + np.bincount(self.heads, flux, size) - np.bincount(self.tails, flux, size)
+
+    def diagonal(self) -> np.ndarray:
+        size = self.potential.size
+        return (self.potential + np.bincount(self.heads, self.weights, size)
+                + np.bincount(self.tails, self.weights, size))
+
+
+@dataclass(frozen=True)
+class Mass:
+    """Diagonal mass form with entries ``values``."""
+
+    values: np.ndarray
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        return self.values * np.asarray(u, dtype=float)
+
+    def diagonal(self) -> np.ndarray:
+        return self.values.copy()
 
 
 @dataclass
@@ -80,14 +128,14 @@ class ModeProblem:
     l: int
     m: int
     n: int
-    stiffness: sp.csr_matrix
-    mass: sp.dia_matrix
+    stiffness: Stiffness
+    mass: Mass
     r_centers: np.ndarray
     s_centers: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.stiffness.shape[0]
+        return self.r_centers.size
 
 
 def build_mode(l: int, m: int, n: int) -> ModeProblem:
@@ -95,40 +143,23 @@ def build_mode(l: int, m: int, n: int) -> ModeProblem:
     if n < 8:
         raise ValueError("grid resolution must be >= 8")
     h = 1.0 / n
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    active = ii < jj
-    index = -np.ones((n, n), dtype=np.int64)
-    index[active] = np.arange(active.sum())
-    ci, cj = ii[active], jj[active]
+    ci, cj = np.triu_indices(n, 1)  # active cells i < j, row by row
+    cells = np.arange(ci.size)
+    index = np.full((n, n), -1)
+    index[ci, cj] = cells
     rc = (ci + 0.5) * h
     sc = (cj + 0.5) * h
-    N = ci.size
-
-    mass = sp.diags(_W4 * rc * sc * h * h)
-
-    rows, cols, vals = [], [], []
-
-    def add_edges(ka, kb, w):
-        rows.extend([ka, kb, ka, kb])
-        cols.extend([ka, kb, kb, ka])
-        vals.extend([w, w, -w, -w])
-
-    # horizontal neighbors (i, j) - (i+1, j): edge midpoint ((i+1)h, s_j)
-    ok = (ci + 1 < cj)  # neighbor must stay strictly below the diagonal
-    ka = index[ci[ok], cj[ok]]
-    kb = index[ci[ok] + 1, cj[ok]]
-    add_edges(ka, kb, _W4 * (ci[ok] + 1.0) * h * sc[ok])
-    # vertical neighbors (i, j) - (i, j+1): edge midpoint (r_i, (j+1)h)
-    ok = cj + 1 < n
-    ka = index[ci[ok], cj[ok]]
-    kb = index[ci[ok], cj[ok] + 1]
-    add_edges(ka, kb, _W4 * rc[ok] * (cj[ok] + 1.0) * h)
-
-    pot = _W4 * (l * l / rc**2 + m * m / sc**2) * rc * sc * h * h
-    rows = np.concatenate(rows + [np.arange(N)])
-    cols = np.concatenate(cols + [np.arange(N)])
-    vals = np.concatenate(vals + [pot])
-    stiffness = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(N, N)))
+    # horizontal neighbors (i, j) - (i+1, j), kept strictly below the diagonal,
+    # with edge midpoint ((i+1)h, s_j); vertical ones (i, j) - (i, j+1) at (r_i, (j+1)h)
+    right = ci + 1 < cj
+    up = cj + 1 < n
+    stiffness = Stiffness(
+        heads=np.concatenate([cells[right], cells[up]]),
+        tails=np.concatenate([index[ci[right] + 1, cj[right]], index[ci[up], cj[up] + 1]]),
+        weights=np.concatenate([_W4 * (ci[right] + 1.0) * h * sc[right], _W4 * rc[up] * (cj[up] + 1.0) * h]),
+        potential=_W4 * (l * l / rc**2 + m * m / sc**2) * rc * sc * h * h,
+    )
+    mass = Mass(_W4 * rc * sc * h * h)
     return ModeProblem(l=l, m=m, n=n, stiffness=stiffness, mass=mass, r_centers=rc, s_centers=sc)
 
 
@@ -144,43 +175,149 @@ class SpectrumResult:
     fine_eigenvalues: tuple[float, ...] = ()
 
 
+class _Factor:
+    """Solver of the SPD system with diagonal ``diag`` and entry ``off[e]`` at
+    the cells of stiffness edge e, for a mode problem's cell layout.
+
+    Odd cells (i + j odd) neighbour only even ones, so with u_o = D_o^{-1}
+    (f_o - B^T u_e) what remains is S u_e = f_e - B D_o^{-1} f_o, where
+    S = D_e - B D_o^{-1} B^T couples even cells two anti-diagonals apart at
+    most.  Even cells are ordered by anti-diagonal, then by i, and consecutive
+    anti-diagonals are grouped into blocks of at most ``_BLOCK`` cells (one
+    anti-diagonal per block when it is longer), which makes S block
+    tridiagonal with diagonal blocks D_k and couplings C_k.  Block LDL^T:
+    T_k = (D_k - G_{k-1} C_{k-1})^{-1} and G_k = C_k^T T_k.
+    """
+
+    def __init__(self, problem: ModeProblem, diag: np.ndarray, off: np.ndarray):
+        K = problem.stiffness
+        ci, cj = np.triu_indices(problem.n, 1)
+        anti = ci + cj
+        odd_cell = anti % 2 == 1
+        self.odd = np.flatnonzero(odd_cell)
+        even = np.flatnonzero(~odd_cell)
+        self.even = even[np.lexsort((ci[even], anti[even]))]
+        position = np.empty(problem.size, dtype=np.int64)  # in odd, or in the even order
+        position[self.odd] = np.arange(self.odd.size)
+        position[self.even] = np.arange(self.even.size)
+
+        # the up to four edges of each odd cell as (even position, entry) slots
+        odd_end = np.where(odd_cell[K.heads], K.heads, K.tails)
+        order = np.argsort(odd_end, kind="stable")
+        owner = position[odd_end[order]]
+        slot = np.arange(order.size) - np.searchsorted(owner, owner)
+        self.nbr = np.zeros((self.odd.size, 4), dtype=np.int64)
+        self.val = np.zeros((self.odd.size, 4))
+        self.nbr[owner, slot] = position[(K.heads + K.tails - odd_end)[order]]
+        self.val[owner, slot] = off[order]
+        self.odd_diag = diag[self.odd]
+
+        # blocks of whole even anti-diagonals
+        lengths = np.bincount(anti[self.even] // 2)
+        lengths = lengths[lengths > 0]
+        sizes = [0]
+        for length in lengths.tolist():
+            if sizes[-1] and sizes[-1] + length > _BLOCK:
+                sizes.append(0)
+            sizes[-1] += length
+        self.bounds = np.concatenate([[0], np.cumsum(sizes)])
+        block = np.repeat(np.arange(len(sizes)), sizes)
+
+        # entries of S on and above the block diagonal, grouped by the block of
+        # their row; block k's rows [D_k | C_k] start at its first cell in both
+        # blocks' columns, so a row's offset there is cols - bounds[k]
+        pair = -(self.val[:, :, None] * self.val[:, None, :]) / self.odd_diag[:, None, None]
+        rows = np.broadcast_to(self.nbr[:, :, None], pair.shape).ravel()
+        cols = np.broadcast_to(self.nbr[:, None, :], pair.shape).ravel()
+        keep = (pair.ravel() != 0.0) & (block[cols] >= block[rows])
+        rows = np.concatenate([np.arange(self.even.size), rows[keep]])
+        cols = np.concatenate([np.arange(self.even.size), cols[keep]])
+        vals = np.concatenate([diag[self.even], pair.ravel()[keep]])
+        order = np.argsort(block[rows], kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        widths = [size + after for size, after in zip(sizes, sizes[1:] + [0])]
+        first = self.bounds[block[rows]]
+        flat = (rows - first) * np.asarray(widths)[block[rows]] + cols - first
+        ends = np.cumsum(np.bincount(block[rows], minlength=len(sizes)))
+
+        self.inverses, self.couplings = [], []  # T_k and G_k
+        for k, (size, width) in enumerate(zip(sizes, widths)):
+            lo = ends[k - 1] if k else 0
+            R = np.bincount(flat[lo:ends[k]], vals[lo:ends[k]], size * width).reshape(size, width)
+            D = R[:, :size]
+            if k:
+                D = D - self.couplings[-1] @ C
+            self.inverses.append(np.linalg.inv(D))
+            C = R[:, size:]  # C_k, used again at k + 1
+            if C.size:
+                self.couplings.append(C.T @ self.inverses[-1])
+
+    def solve(self, f: np.ndarray) -> np.ndarray:
+        fo = f[self.odd] / self.odd_diag
+        y = f[self.even] - np.bincount(self.nbr.ravel(), (self.val * fo[:, None]).ravel(), self.even.size)
+        blocks = [y[a:b] for a, b in zip(self.bounds[:-1], self.bounds[1:])]  # views into y
+        for k, G in enumerate(self.couplings):
+            blocks[k + 1] -= G @ blocks[k]
+        for block, T in zip(blocks, self.inverses):
+            block[:] = T @ block
+        for k in range(len(self.couplings) - 1, -1, -1):
+            blocks[k] -= self.couplings[k].T @ blocks[k + 1]
+        u = np.empty(f.size)
+        u[self.even] = y
+        u[self.odd] = fo - (self.val * y[self.nbr]).sum(axis=1) / self.odd_diag
+        return u
+
+
+def _finite_forms(problem: ModeProblem) -> None:
+    """EigenSolverError when a stiffness or mass entry is not finite."""
+    K = problem.stiffness
+    if not all(np.isfinite(a).all() for a in (K.weights, K.potential, problem.mass.values)):
+        raise EigenSolverError(
+            f"stiffness or mass of mode ({problem.l},{problem.m}) at n={problem.n} is not finite")
+
+
 def _lowest_eigenvalues(problem: ModeProblem, count: int) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
     if count >= problem.size:
         raise ValueError("count must be smaller than the problem size")
-    # fixed generic starting vector: ARPACK otherwise draws a random one per
-    # call, which perturbs converged eigenvalues at the last-ulp level
-    v0 = np.random.default_rng(1234).standard_normal(problem.size)
-    # A = M^{-1/2} K M^{-1/2}: same eigenvalues as the pencil (K, M), and
-    # exactly symmetric because each entry is scaled by the product d_i d_j
-    K = problem.stiffness.tocoo()
-    d = 1.0 / np.sqrt(problem.mass.diagonal())
-    A = sp.csc_matrix((K.data * (d[K.row] * d[K.col]), (K.row, K.col)), shape=K.shape)
+    _finite_forms(problem)
+    context = f"mode ({problem.l},{problem.m}) at n={problem.n}"
+    # A + shift I with A = M^{-1/2} K M^{-1/2}, which has the eigenvalues of the pencil (K, M)
+    K = problem.stiffness
+    d = 1.0 / np.sqrt(problem.mass.values)
     try:
-        # SPD 5-point stencil: a symmetric minimum-degree ordering with
-        # diagonal pivots has about half the fill of SuperLU's default
-        # (COLAMD, partial pivoting), so factor and solves are cheaper
-        lu = spla.splu(
-            A + 0.5 * sp.identity(problem.size, format="csc"),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
-        vals = spla.eigsh(
-            A,
-            k=count,
-            sigma=-0.5,
-            which="LM",
-            v0=v0,
-            OPinv=spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float),
-            return_eigenvectors=False,
-        )
-    except Exception as exc:  # superlu and arpack failures carry little context
-        raise EigenSolverError(
-            f"eigensolver failed for mode ({problem.l},{problem.m}) at n={problem.n}: {exc}"
-        ) from exc
-    return np.sort(np.real(vals))
+        factor = _Factor(problem, K.diagonal() * d * d + _SHIFT, -K.weights * (d[K.heads] * d[K.tails]))
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"factor failed for {context}: {exc}") from exc
+
+    # fixed generic starting vector, so every run takes the same steps
+    v = np.random.default_rng(1234).standard_normal(problem.size)
+    steps = min(_LANCZOS_STEPS, problem.size)
+    basis = np.empty((steps + 1, problem.size))
+    basis[0] = v / np.linalg.norm(v)
+    alpha, beta = np.empty(steps), np.empty(steps)
+    for j in range(steps):
+        w = factor.solve(basis[j])
+        V = basis[: j + 1]
+        width = max(1, _GEMV_ENTRIES // (j + 1))
+        chunks = [slice(a, a + width) for a in range(0, problem.size, width)]
+        alpha[j] = 0.0
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            h = sum(V[:, c] @ w[c] for c in chunks)
+            for c in chunks:
+                w[c] -= h @ V[:, c]
+            alpha[j] += h[j]
+        beta[j] = np.linalg.norm(w)
+        if j + 1 >= count:
+            theta, s = np.linalg.eigh(np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1))
+            theta, last = theta[-count:], s[-1, -count:]
+            if np.all(np.abs(beta[j] * last) <= _RITZ_TOL * theta):
+                return np.sort(1.0 / theta - _SHIFT)
+        if not beta[j] > 0.0:
+            raise EigenSolverError(f"Lanczos broke down at step {j + 1} for {context}")
+        basis[j + 1] = w / beta[j]
+    raise EigenSolverError(f"Lanczos did not converge within {steps} steps for {context}")
 
 
 def neumann_spectrum(l: int, m: int, n: int, count: int) -> SpectrumResult:
@@ -202,7 +339,7 @@ def poincare_constant(n: int, mode_cut: int) -> float:
     C does not depend on mode_cut for mode_cut >= 1: with the mass shared,
     the stiffness of (l, m) is that of (1, 0) or (0, 1) plus a nonnegative
     diagonal, so no mode undercuts (0, 0), (1, 0) and (0, 1).  Only those
-    three modes are solved.  At n = 64, C = 0.5434540599802758 for mode_cut
+    three modes are solved.  At n = 64, C = 0.5434540599802488 for mode_cut
     1, 2 and 3.
     """
     if mode_cut < 1:
@@ -217,8 +354,7 @@ def solve_neumann(f, l: int, m: int, n: int) -> np.ndarray:
     ``f`` is the mode amplitude: a callable f(r, s) evaluated at the cell
     centers, or a vector of nodal values.  For the (0, 0) mode the data is
     always replaced by f - mean(f) (mass-weighted), the compatible part of
-    any source, and the solution is pinned to mean zero via a Lagrange
-    multiplier.
+    any source, and the solution has mass-weighted mean zero.
     """
     return _solve_mode(build_mode(l, m, n), f)
 
@@ -233,24 +369,24 @@ def _solve_mode(problem: ModeProblem, f) -> np.ndarray:
         fhat = np.asarray(f, dtype=float)
         if fhat.shape != (problem.size,):
             raise ValueError(f"expected {problem.size} nodal values, got {fhat.shape}")
+    _finite_forms(problem)
     K = problem.stiffness
-    M = problem.mass
-
+    w = problem.mass.values
+    diag = K.diagonal()
     if (l, m) == (0, 0):
-        w = M.diagonal()
         fhat = fhat - float(w @ fhat) / float(w.sum())
-        b = M @ fhat
-        # bordered system pins (u, 1)_M = 0 while keeping symmetry
-        one = w.reshape(-1, 1)
-        A = sp.bmat([[K, one], [one.T, None]], format="csc")
-        rhs = np.concatenate([b, [0.0]])
-    else:
-        b = M @ fhat
-        A, rhs = sp.csc_matrix(K), b
+        # K + kappa e_p e_p^T is SPD; for compatible data its solution solves
+        # K u = b with u_p = 0, and is shifted to mean zero below.  p is the
+        # outermost cell, whose diagonal is the largest: pinned at the apex
+        # cell instead, the residual grows a hundredfold
+        diag[-1] += diag[-1]
+    b = w * fhat
     try:
-        u = spla.spsolve(A, rhs)[: problem.size]
-    except Exception as exc:
+        u = _Factor(problem, diag, -K.weights).solve(b)
+    except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"linear solve failed for mode ({l},{m}) at n={n}: {exc}") from exc
+    if (l, m) == (0, 0):
+        u -= float(w @ u) / float(w.sum())
 
     residual = float(np.linalg.norm(K @ u - b))
     # absolute floor keeps a numerically-zero right-hand side (e.g. demeaned

@@ -359,8 +359,8 @@ def _assert_same_report(default, other):
 @pytest.mark.skipif(not _has_avx512_kernels(), reason="numpy runs no X86_V4 (AVX-512) kernels here, so "
                     "NPY_DISABLE_CPU_FEATURES=X86_V4 cannot change the SIMD target")
 def test_determinism_across_simd_targets(tmp_path):
-    # the seed-7 report without numpy's AVX-512 kernels and with two BLAS threads in both
-    # pools agrees with the default run
+    # the seed-7 report without numpy's AVX-512 kernels and with two BLAS threads agrees
+    # with the default run
     other = _subprocess_csv(tmp_path, "x86_v3.csv", ["all", "--seed", "7"],
                             NPY_DISABLE_CPU_FEATURES="X86_V4", OPENBLAS_NUM_THREADS="2")
     assert cli.main(["all", "--seed", "7", "--format", "csv", "--out", str(tmp_path / "default.csv")]) == 0
@@ -370,8 +370,8 @@ def test_determinism_across_simd_targets(tmp_path):
 
 
 def test_spectrum_independent_of_blas_threads(tmp_path):
-    # scipy's BLAS pool loads with one thread by default; an explicit count of two threads the
-    # ARPACK products and gives the same spectrum rows
+    # numpy's BLAS pool loads with one thread by default; an explicit count of two threads
+    # gives the same spectrum rows
     default = _subprocess_csv(tmp_path, "default.csv", ["spectrum", "--seed", "7"])
     threaded = _subprocess_csv(tmp_path, "threaded.csv", ["spectrum", "--seed", "7"], OPENBLAS_NUM_THREADS="2")
     assert len(default) == 5

@@ -309,9 +309,13 @@ def test_ceiling_too_small_raises():
     # a cylinder-centred ball whose 32- and 64-node values differ by 2e-10
     az, aw, rho = 0.18259034780416677, 1.0, 0.820746181208189
     value = _cone_ball(az, aw, rho, SQ2, 128)
-    with pytest.raises(ValueError, match=f"az={az!r}, aw={aw!r}, rho={rho!r}") as err:
+    with pytest.raises(boundary.BallNotConvergedError, match=f"az={az!r}, aw={aw!r}, rho={rho!r}") as err:
         _cone_ball(az, aw, rho, SQ2, 64)
-    assert "64 nodes" in str(err.value)
+    assert "64 nodes" in str(err.value) and isinstance(err.value, ValueError)
+    # invalid input is a plain ValueError, which callers do not take for an unresolved ball
+    with pytest.raises(ValueError) as err:
+        _cone_ball(np.nan, aw, rho, SQ2, 768)
+    assert type(err.value) is ValueError
     assert _cone_ball(az, aw, rho, SQ2, 768) == value
     for rule in (lambda n: _cone_ball(0.3, 1.0, 1.0, SQ2, n), lambda n: _cyl_ball(0.3, 1.0, 1.0, n)):
         with pytest.raises(ValueError, match=r"az=0\.3, aw=1\.0, rho=1\.0"):

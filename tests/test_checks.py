@@ -301,6 +301,17 @@ def test_norm_off_by_1e3_fails_scaling(monkeypatch, small_rows, nth):
     assert rows["dbar.scaling"].observed == pytest.approx(2e-3, rel=1e-2)
 
 
+def test_unconverged_scan_ball_fails_only_the_scan_rows():
+    # at seed 2410030 a cylinder ball (|z| = 0.414, rho = 1) still moves by 1.8e-10 at the
+    # 512-node ceiling; the battery reports its three scan rows as failing, not a traceback
+    rows = {row.check_id: row for row in run_command("adr", RunParams(seed=2410030))}
+    scan = ["adr.scan.min", "adr.scan.max", "adr.scan.refinement"]
+    assert list(rows) == [check_id for check_id in PINNED if check_id.startswith("adr.")]
+    assert [rows[check_id].observed for check_id in scan] == [-math.inf, math.inf, math.inf]
+    assert not any(rows[check_id].passed for check_id in scan)
+    assert all(row.passed for check_id, row in rows.items() if check_id not in scan)
+
+
 def test_nan_galerkin_source_fails(monkeypatch, small_rows):
     assert small_rows["spectrum.galerkin"].passed
     original = spectral.build_mode

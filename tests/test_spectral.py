@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from hartogs import bergman
+from hartogs import bergman, spectral
 from hartogs.checks import poincare_field_check
 from hartogs.quadrature import VOL_T, QuadratureSpec, integrate_T
 from hartogs.spectral import (
@@ -29,6 +29,15 @@ def test_build_mode_validation():
         build_mode(0, 0, 4)
 
 
+def stiffness_matrix(K) -> sp.csr_matrix:
+    """The stiffness form as a scipy matrix, assembled from its edges and potential."""
+    size = K.potential.size
+    rows = np.concatenate([K.heads, K.tails, K.heads, K.tails, np.arange(size)])
+    cols = np.concatenate([K.heads, K.tails, K.tails, K.heads, np.arange(size)])
+    vals = np.concatenate([K.weights, K.weights, -K.weights, -K.weights, K.potential])
+    return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(size, size)))
+
+
 def max_asymmetry(K) -> float:
     asym = sp.csr_matrix(K - K.T)
     return float(abs(asym).max()) if asym.nnz else 0.0
@@ -37,12 +46,28 @@ def max_asymmetry(K) -> float:
 def test_forms_are_symmetric_and_sized():
     prob = build_mode(1, 2, 32)
     assert prob.size == 32 * 31 // 2
-    assert max_asymmetry(prob.stiffness) <= 1e-12
+    K = stiffness_matrix(prob.stiffness)
+    assert max_asymmetry(K) <= 1e-12
     assert np.all(prob.mass.diagonal() > 0)
     # the measure itself must see a small asymmetry
-    perturbed = prob.stiffness.tolil()
+    perturbed = K.tolil()
     perturbed[3, 4] += 1e-3
     assert max_asymmetry(perturbed) > 1e-12
+
+
+def test_forms_apply_as_their_matrices():
+    # each edge joins two active neighbours, and the form's product and diagonal
+    # are those of its assembled matrix
+    prob = build_mode(2, 1, 24)
+    K = prob.stiffness
+    assert np.all(K.heads != K.tails) and np.all((0 <= K.tails) & (K.tails < prob.size))
+    # all cells but the 23 with j = i + 1 have a neighbour (i+1, j), all but the 23 with j = 23 one at (i, j+1)
+    assert K.weights.size == 2 * (prob.size - 23)
+    u = np.random.default_rng(3).normal(size=prob.size)
+    ref = stiffness_matrix(K)
+    assert np.allclose(K @ u, ref @ u, rtol=0.0, atol=1e-13 * np.abs(ref @ u).max())
+    assert np.allclose(K.diagonal(), ref.diagonal(), rtol=1e-15, atol=0.0)
+    assert np.array_equal(prob.mass @ u, prob.mass.diagonal() * u)
 
 
 def test_constants_are_harmonic_in_zero_mode():
@@ -98,18 +123,32 @@ def test_frozen_eigenvalues():
 def test_lowest_eigenvalues_match_dense_pencil(l, m, n):
     # independent reference: LAPACK on the dense generalized pencil (K, M)
     prob = build_mode(l, m, n)
-    ref = scipy.linalg.eigh(prob.stiffness.toarray(), np.diag(prob.mass.diagonal()),
+    ref = scipy.linalg.eigh(stiffness_matrix(prob.stiffness).toarray(), np.diag(prob.mass.diagonal()),
                             eigvals_only=True, subset_by_index=[0, 5])
     got = _lowest_eigenvalues(prob, 6)
     assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(np.abs(ref), 1.0))
 
 
+def _no_factor(*args):
+    raise AssertionError("a factorisation started")
+
+
 @pytest.mark.parametrize("l, m", [(0, 0), (1, 0)])
-def test_lowest_eigenvalues_rejects_nan_stiffness(l, m):
+def test_lowest_eigenvalues_rejects_nan_stiffness(monkeypatch, l, m):
     prob = build_mode(l, m, 16)
-    prob.stiffness.data[7] = np.nan
+    prob.stiffness.weights[7] = np.nan
+    monkeypatch.setattr(spectral, "_Factor", _no_factor)  # found before any factorisation
     with pytest.raises(EigenSolverError, match=rf"mode \({l},{m}\) at n=16"):
         _lowest_eigenvalues(prob, 2)
+    with pytest.raises(EigenSolverError, match=rf"mode \({l},{m}\) at n=16"):
+        spectral._solve_mode(prob, np.ones(prob.size))
+
+
+def test_lowest_eigenvalues_fail_at_the_step_cap(monkeypatch):
+    # count 2 at n = 16 takes more than three Lanczos steps
+    monkeypatch.setattr(spectral, "_LANCZOS_STEPS", 3)
+    with pytest.raises(EigenSolverError, match=r"within 3 steps for mode \(0,0\) at n=16"):
+        _lowest_eigenvalues(build_mode(0, 0, 16), 2)
 
 
 def test_eigenvalues_grow():
@@ -282,29 +321,3 @@ def test_spectrum_table_rejects_sizes_without_constant(tmp_path, flags):
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert not (tmp_path / "s.csv").exists()
-
-
-# counts this process's threads after `import numpy` and again after `import hartogs`
-_THREAD_PROBE = """
-import os
-tasks = lambda: len(os.listdir("/proc/self/task"))
-import numpy
-before, env = tasks(), dict(os.environ)
-import hartogs
-print(tasks() - before, dict(os.environ) == env)
-"""
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
-                    reason="needs /proc/self/task to count threads and two cores for a BLAS worker")
-@pytest.mark.parametrize("setting, workers", [({}, 0), ({"OPENBLAS_NUM_THREADS": "2"}, 1)])
-def test_scipy_blas_pool_is_one_thread_unless_set(setting, workers):
-    # scipy's own OpenBLAS starts no worker unless a thread count is set, and the environment
-    # is left as it was; importing the whole package also catches a module loading scipy.linalg first
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                                                             "OMP_NUM_THREADS")}
-    env.update(PYTHONPATH=str(ROOT / "src"), **setting)
-    proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True,
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(workers), "True"]
