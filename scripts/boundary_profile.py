@@ -50,9 +50,9 @@ def main() -> None:
     with open(out / "regularity_ratios.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["center_r", "center_alpha", "center_s", "center_beta", "rho", "sigma", "ratio"])
-        for p, rho, sig in report.samples:
+        for (p, rho, sig), ratio in zip(report.samples, report.ratios):
             writer.writerow([repr(p.r), repr(p.alpha), repr(p.s), repr(p.beta),
-                             repr(rho), repr(sig), repr(sig / rho**3)])
+                             repr(rho), repr(sig), repr(float(ratio))])
     print(f"wrote {out / 'regularity_ratios.csv'}; ratio range "
           f"[{report.min_ratio:.4f}, {report.max_ratio:.4f}], window {ADR_WINDOW}")
 

@@ -30,7 +30,10 @@ on (0, pi); the map absorbs the square-root edges at the piece ends.
 * r: the support, where a1 > 0, is (r - (az + aw)/sqrt(2))^2 < rho^2 -
   (az - aw)^2/2, cut at r_hi; it splits at the other roots of
   r^2 - sqrt(2) c r + R^2 - rho^2 for c in {+-(az + aw), +-(az - aw)}, where
-  a1 or a2 reaches 0 or pi.
+  a1 or a2 reaches 0 or pi.  Where a pair of those roots is complex it splits
+  at their real part c/sqrt(2): near tangency the pair lies close to the
+  axis, and without that cut the integrand's near-kink there left Gauss
+  converging only algebraically.
 * cylinder: beta over (0, halfw), doubled, splits where the fiber radius
   below equals |1 - az| or 1 + az (the lens changes type); those points are
   closed form in sin(beta/2).
@@ -56,14 +59,14 @@ rho) and return one value per ball; a call with numbers is a batch of one.
 Each ball's breakpoints are sorted row-wise, repeated and absent ones give no
 piece, and the surviving pieces of all balls form one table with a ball id
 per piece, so no ball is padded to the widest one; per-ball values are sums
-by ball id.  One array pass evaluates every ball at 32 and 64 nodes (the two
-rules' nodes side by side), and each further doubling evaluates, under a
-mask, only the balls whose last two values still disagree.  Balls with
-min(az, aw) < 1e-300 take the closed-form alpha-integral by mask.  Pieces run
-in blocks, and the cone's (r-node x alpha-node) work array in blocks of
-``_BLOCK_CELLS`` values, so memory does not grow with the batch.  The public
-functions accept a sequence of points for one such batch, and ``adr_scan``
-evaluates all its centers in one ``sigma_ball_bT`` call per radius.
+by ball id.  Each array pass evaluates one node count, and after the first
+only for the balls, under a mask, whose last two values still disagree.
+Balls with min(az, aw) < 1e-300 take the closed-form alpha-integral by mask.
+Pieces run in blocks, and the cone's (r-node x alpha-node) work array in
+blocks of ``_BLOCK_CELLS`` values, so memory does not grow with the batch.
+The public functions accept a sequence of points for one such batch, and
+``adr_scan`` evaluates every (center, radius) pair in one ``sigma_ball_bT``
+call.
 
 The normalized profile f(t) = sigma(B_1(p) cap bT_inf) at |p| = t gives the
 dilation law sigma(B_rho(p) cap bT_inf) = rho^3 f(|p|/rho), with
@@ -81,7 +84,7 @@ diam(T) = 2 sqrt(2).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,18 +137,6 @@ def _cosine_gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, wx
 
 
-def _rules(ms: tuple) -> tuple[np.ndarray, list]:
-    """The cosine-mapped rules with m nodes for each m in ``ms``, side by
-    side: all their nodes in one array, and per rule the slice of its nodes,
-    its nodes and its weights."""
-    parts, start = [], 0
-    for m in ms:
-        x, wx = _cosine_gauss(m)
-        parts.append((slice(start, start + m), x, wx))
-        start += m
-    return np.concatenate([x for _, x, _ in parts]), parts
-
-
 def _balls(az, aw, rho, *more):
     """Ball parameters as rows of one float array, one column per ball, and
     whether every parameter was a number (then the caller returns a float).
@@ -180,50 +171,43 @@ def _pieces(cuts: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return table, ball
 
 
-def _piece_sums(table, ball, ms: tuple, per_node: int, integrand, nballs: int) -> list:
-    """Per-ball sums of the cosine-mapped rule with m nodes per piece, for
-    each m in ``ms``, over the pieces of ``table`` (rows as made by
-    ``_pieces``).
+def _piece_sums(table, ball, m: int, per_node: int, integrand, nballs: int) -> np.ndarray:
+    """Per-ball sums of the cosine-mapped rule with m nodes per piece over
+    the pieces of ``table`` (rows as made by ``_pieces``).
 
-    integrand(nodes, rows, ms) is the integrand at the (pieces, sum(ms))
-    nodes of those rows of the table, every rule's nodes side by side.  The
-    pieces run in blocks (of at least one piece) whose work arrays, about
-    ``per_node`` values for each node, hold at most ``_BLOCK_CELLS`` values.
+    integrand(nodes, rows) is the integrand at the (pieces, m) nodes of those
+    rows of the table.  The pieces run in blocks (of at least one piece)
+    whose work arrays, about ``per_node`` values for each node, hold at most
+    ``_BLOCK_CELLS`` values.
     """
-    nodes, rules = _rules(ms)
-    sums = np.empty((len(ms), len(table)))
-    step = max(1, _BLOCK_CELLS // (per_node * nodes.size))
+    x, wx = _cosine_gauss(m)
+    sums = np.empty(len(table))
+    step = max(1, _BLOCK_CELLS // (per_node * m))
     for k in range(0, len(table), step):
         rows = table[k:k + step]
-        values = integrand(rows[:, :1] + rows[:, 1:2] * nodes, rows, ms)
-        for i, (cols, _, wx) in enumerate(rules):
-            sums[i, k:k + step] = (values[:, cols] @ wx) * rows[:, 1]
-    return [np.bincount(ball, weights=row, minlength=nballs) for row in sums]
+        sums[k:k + step] = (integrand(rows[:, :1] + rows[:, 1:2] * x, rows) @ wx) * rows[:, 1]
+    return np.bincount(ball, weights=sums, minlength=nballs)
 
 
 def _measured(rule, ceiling: int, balls: tuple, todo: np.ndarray) -> np.ndarray:
     """Per ball, rule(m) at m = 32, 64, ... nodes per piece, doubled until two
     successive values agree to 1e-10 relative; returns the finer of the two.
 
-    rule(ms, mask) gives the values with m nodes for each m in ``ms``, for the
-    balls in ``mask`` (None: every ball).  One pass evaluates every ball in
-    the mask ``todo`` at 32 and 64 nodes; each later doubling evaluates only
-    the balls not yet converged.  Balls outside ``todo`` are 0.
+    rule(m, todo) gives the values with m nodes per piece for the balls in
+    the mask ``todo`` and 0 for the others; each pass evaluates only the
+    balls not yet converged.  Balls outside the first ``todo`` are 0.
     BallNotConvergedError names the first ball, and its last two values,
     whose next doubling would pass ``ceiling`` first.
     """
     out = np.zeros(todo.size)
-    if not np.count_nonzero(todo):
-        return out
-    m = _FIRST_NODES
-    pending = rule((m, 2 * m) if 2 * m <= ceiling else (m,), None)
-    prev, values = None, pending.pop(0)
-    while 2 * m <= ceiling and np.count_nonzero(todo):
+    m, prev, values = _FIRST_NODES, None, None
+    while m <= ceiling and np.count_nonzero(todo):
+        prev, values = values, rule(m, todo)
+        if prev is not None:
+            done = todo & (np.abs(values - prev) <= _AGREE_REL * np.abs(values))
+            out[done] = values[done]
+            todo = todo & ~done
         m *= 2
-        prev, values = values, pending.pop(0) if pending else rule((m,), todo)[0]
-        done = todo & (np.abs(values - prev) <= _AGREE_REL * np.abs(values))
-        out[done] = values[done]
-        todo = todo & ~done
     if np.count_nonzero(todo):
         i = int(np.flatnonzero(todo)[0])
         az, aw, rho = (float(x[i]) for x in balls)
@@ -248,10 +232,10 @@ _RHO, _AZ, _AW, _RATIO, _HALF = range(10, 15)
 _S1, _S2 = np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def _cone_h(t: np.ndarray, rows: np.ndarray, ms: tuple) -> np.ndarray:
+def _cone_h(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Half-range alpha integral h(r) of the beta-fiber length 2 arccos((k - az
-    cos alpha)/aw) at the (pieces, sum(ms)) nodes: on the nodes of each
-    m-node rule, by the m-node rule on the window (a2, a1).
+    cos alpha)/aw) at the (pieces, m) r-nodes, by the m-node rule on the
+    window (a2, a1).
 
     t[..., s] = k + s1 az + s2 aw for (s1, s2) = (1, 1), (1, -1), (-1, 1),
     (-1, -1); rows: the pieces' rows of the cone table.
@@ -264,38 +248,35 @@ def _cone_h(t: np.ndarray, rows: np.ndarray, ms: tuple) -> np.ndarray:
     # on (a2, a1) the half fiber arccos(1 - u) = 2 arcsin(sqrt(u/2)), with
     # u/2 = (az + aw - k - 2 az sin^2(alpha/2))/(2 aw); exact in relative terms
     # for short arcs, and for arcs near pi its absolute error is harmless
-    shift = rows[:, _HALF, None] * t[..., 3]
-    half_fiber = np.empty_like(window)
-    for cols, x, wx in _rules(ms)[1]:
-        # one row per r-node of this rule: the half-angle window and the terms of u/2
-        m, n = x.size, len(rows) * x.size
-        start, width = (0.5 * a2[:, cols]).reshape(n), (0.5 * window[:, cols]).reshape(n)
-        ratio, offset = np.repeat(rows[:, _RATIO], m), shift[:, cols].reshape(n)
-        integral = np.empty(n)
-        step = max(1, _BLOCK_CELLS // m)  # rows per block of the (r-node x alpha-node) work array
-        work, denominator = np.empty((2, min(step, n), m))  # reused by every block
-        for k in range(0, n, step):
-            block = slice(k, k + step)
-            q, den = work[:min(step, n - k)], denominator[:min(step, n - k)]
-            np.multiply(width[block, None], x, out=q)
-            q += start[block, None]
-            # sin^2 = tan^2/(1 + tan^2), no cancellation; numpy's float64 tan takes a fifth of
-            # the time of its sin (numpy 2.4, x86-64 with AVX-512)
-            np.tan(q, out=q)
-            q *= q
-            np.add(q, 1.0, out=den)
-            q /= den
-            q *= ratio[block, None]
-            q -= offset[block, None]
-            np.maximum(q, 0.0, out=q)
-            np.minimum(q, 1.0, out=q)
-            np.sqrt(q, out=q)
-            integral[block] = np.arcsin(q, out=q) @ wx
-        half_fiber[:, cols] = integral.reshape(len(rows), m)
-    return 2.0 * np.pi * a2 + 4.0 * window * half_fiber
+    # one row per r-node: the half-angle window and the terms of u/2
+    m, n = t.shape[1], a2.size
+    x, wx = _cosine_gauss(m)
+    start, width = (0.5 * a2).reshape(n), (0.5 * window).reshape(n)
+    ratio, offset = np.repeat(rows[:, _RATIO], m), (rows[:, _HALF, None] * t[..., 3]).reshape(n)
+    half_fiber = np.empty(n)
+    step = max(1, _BLOCK_CELLS // m)  # rows per block of the (r-node x alpha-node) work array
+    work, denominator = np.empty((2, min(step, n), m))  # reused by every block
+    for k in range(0, n, step):
+        block = slice(k, k + step)
+        q, den = work[:min(step, n - k)], denominator[:min(step, n - k)]
+        np.multiply(width[block, None], x, out=q)
+        q += start[block, None]
+        # sin^2 = tan^2/(1 + tan^2), no cancellation; numpy's float64 tan takes a fifth of
+        # the time of its sin (numpy 2.4, x86-64 with AVX-512)
+        np.tan(q, out=q)
+        q *= q
+        np.add(q, 1.0, out=den)
+        q /= den
+        q *= ratio[block, None]
+        q -= offset[block, None]
+        np.maximum(q, 0.0, out=q)
+        np.minimum(q, 1.0, out=q)
+        np.sqrt(q, out=q)
+        half_fiber[block] = np.arcsin(q, out=q) @ wx
+    return 2.0 * np.pi * a2 + 4.0 * window * half_fiber.reshape(a2.shape)
 
 
-def _cone_h_closed(t: np.ndarray, rows: np.ndarray, ms: tuple) -> np.ndarray:
+def _cone_h_closed(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """h(r) for a centre with az = 0 or aw = 0, a = az + aw: the fiber length
     is constant in alpha (az = 0) or 0 / 2 pi (aw = 0), 2 arccos(k/a); at the
     apex (a = 0) every r < rho has k < 0 and the full torus."""
@@ -305,10 +286,10 @@ def _cone_h_closed(t: np.ndarray, rows: np.ndarray, ms: tuple) -> np.ndarray:
     return 2.0 * np.pi * np.where(apex, np.pi, _arccos_from_ends(-t[..., 3] / a, t[..., 0] / a))
 
 
-def _cone_r2h(r: np.ndarray, rows: np.ndarray, ms: tuple, h) -> np.ndarray:
+def _cone_r2h(r: np.ndarray, rows: np.ndarray, h) -> np.ndarray:
     """The cone integrand r^2 h(r) (the Jacobian r^2/2 times 2 h, alpha over
-    (-pi, pi)) at the (pieces, sum(ms)) nodes r of those rows of the cone
-    table, with h = _cone_h or _cone_h_closed."""
+    (-pi, pi)) at the (pieces, m) nodes r of those rows of the cone table,
+    with h = _cone_h or _cone_h_closed."""
     # t = k + s1 az + s2 aw = ((r + e)^2 + f^2 - rho^2)/(sqrt2 r), which loses no digits
     # away from its root
     re = r[..., None] + rows[:, None, 2:6]
@@ -316,7 +297,7 @@ def _cone_r2h(r: np.ndarray, rows: np.ndarray, ms: tuple, h) -> np.ndarray:
     t = (re - rho) * (re + rho)
     t += rows[:, None, 6:10]
     t /= (_SQ2 * r)[..., None]
-    return r * r * h(t, rows, ms)
+    return r * r * h(t, rows)
 
 
 def _cone_ball(az, aw, rho, r_hi, n: int):
@@ -328,14 +309,17 @@ def _cone_ball(az, aw, rho, r_hi, n: int):
     """
     (az, aw, rho, r_hi), scalar = _balls(az, aw, rho, np.inf if r_hi is None else r_hi)
     # with e and f = (s1 az +- s2 aw)/sqrt2, t = k + s1 az + s2 aw = ((r + e)^2 + f^2 - rho^2)/(sqrt2 r):
-    # the alpha-window edges reach 0 or pi at the roots r = -e +- sqrt(rho^2 - f^2)
+    # the alpha-window edges reach 0 or pi at the roots r = -e +- sqrt(rho^2 - f^2); where
+    # those are complex, the vertex r = -e is a near-kink when the ball is near tangency
     sz, sw, rr = az[:, None] * _S1, aw[:, None] * _S2, rho[:, None]
     e, f = (sz + sw) / _SQ2, (sz - sw) / _SQ2
     square = (rr - f) * (rr + f)
-    root = np.sqrt(np.where(square > 0.0, square, np.nan))  # NaN where that edge never moves
-    cuts = np.empty((az.size, 8))
+    real = square > 0.0
+    root = np.sqrt(np.where(real, square, np.nan))  # NaN where that edge never moves
+    cuts = np.empty((az.size, 12))
     np.subtract(-e, root, out=cuts[:, :4])
-    np.subtract(root, e, out=cuts[:, 4:])
+    np.subtract(root, e, out=cuts[:, 4:8])
+    cuts[:, 8:] = np.where(real, np.nan, -e)
     # for s1 = s2 = -1 the roots (az + aw)/sqrt2 -+ sqrt(rho^2 - (az - aw)^2/2) bound the
     # support, where some beta-fiber is nonempty; r_hi cuts it, and the other roots
     # are clipped to it, so a root outside repeats an end and an empty ball has no pieces
@@ -362,14 +346,9 @@ def _cone_ball(az, aw, rho, r_hi, n: int):
         groups = [(h, table[mask], ball[mask]) for h, mask in ((_cone_h, ~closed[ball]), (_cone_h_closed, closed[ball]))
                   if np.count_nonzero(mask)]
 
-    def rule(ms, todo):
-        total = None
-        for h, rows, ids in groups:
-            if todo is not None:
-                rows, ids = rows[todo[ids]], ids[todo[ids]]
-            sums = _piece_sums(rows, ids, ms, 16, functools.partial(_cone_r2h, h=h), az.size)
-            total = sums if total is None else [a + b for a, b in zip(total, sums)]
-        return total
+    def rule(m, todo):
+        return sum(_piece_sums(rows[todo[ids]], ids[todo[ids]], m, 16, functools.partial(_cone_r2h, h=h), az.size)
+                   for h, rows, ids in groups)
 
     out = _measured(rule, n, (az, aw, rho), np.bincount(ball, minlength=az.size) > 0)
     return float(out[0]) if scalar else out
@@ -444,13 +423,12 @@ def _cyl_ball(az, aw, rho, n: int):
     cuts[~live] = np.nan  # an empty ball has no pieces
     table, ball = _pieces(cuts, params)
 
-    def integrand(beta, rows, ms):
+    def integrand(beta, rows):
         radii = np.sqrt(np.maximum(rows[:, 2:3] - rows[:, 3:4] * np.sin(0.5 * beta) ** 2, 0.0))
         return 2.0 * _lens_area(1.0, radii, np.repeat(rows[:, 4:5], radii.shape[1], axis=1))  # even in beta
 
-    def rule(ms, todo):
-        rows, ids = (table, ball) if todo is None else (table[todo[ball]], ball[todo[ball]])
-        return _piece_sums(rows, ids, ms, 8, integrand, az.size)
+    def rule(m, todo):
+        return _piece_sums(table[todo[ball]], ball[todo[ball]], m, 8, integrand, az.size)
 
     out = _measured(rule, n, (az, aw, rho), live)
     return float(out[0]) if scalar else out
@@ -511,17 +489,18 @@ def sigma_ball_Tinf_direct(p, rho, spec: QuadratureSpec):
     return _cone_ball(r, s, rho, None, spec.surface_cells)
 
 
-def sigma_ball_bT(p, rho: float, spec: QuadratureSpec):
+def sigma_ball_bT(p, rho, spec: QuadratureSpec):
     """sigma(B_rho(p) cap bT): cone part (r <= sqrt 2) plus cylinder part.
 
-    p: a PolarPoint (returns a float) or a sequence of them (one value
-    each); rho: one radius, a number.
+    p: a PolarPoint, or a sequence of them with rho a number or one radius
+    each; returns a float, or one value per point.
     """
     r, s = _moduli(p)
     on_cone = (np.abs(np.subtract(r, s)) <= 1e-9) & (np.asarray(s) <= 1.0 + 1e-9)
     on_cyl = (np.abs(np.subtract(s, 1.0)) <= 1e-9) & (np.asarray(r) <= np.add(s, 1e-9))
     _first_off(~(on_cone | on_cyl), r, s, "bT")
-    if not 0.0 < rho <= DIAM_T:
+    radii = np.asarray(rho, dtype=float)
+    if not np.all((0.0 < radii) & (radii <= DIAM_T)):
         raise ValueError("rho must lie in (0, 2*sqrt(2)]")
     n = spec.surface_cells
     cone = _cone_ball(r, s, rho, _SQ2, n)
@@ -534,12 +513,10 @@ class ADRReport:
     """Scan of sigma(B_rho(p) cap bT)/rho^3 over boundary centers and radii."""
 
     samples: tuple  # of (PolarPoint, rho, sigma)
+    ratios: np.ndarray = field(compare=False)  # sigma/rho^3 per sample, read-only
     min_ratio: float
     max_ratio: float
     passed: bool
-
-    def ratios(self) -> np.ndarray:
-        return np.array([sig / rho**3 for (_, rho, sig) in self.samples])
 
 
 def adr_scan(
@@ -552,17 +529,15 @@ def adr_scan(
 
     Centers: half uniform in the cone parametrization (r in [0, sqrt 2],
     angles uniform), half uniform on the cylinder (z area-uniform in the
-    unit disk, beta uniform).  Each radius is one ``sigma_ball_bT`` call over
-    all centers; the samples run center by center.  pass requires every
-    ratio inside ADR_WINDOW.
+    unit disk, beta uniform).  One ``sigma_ball_bT`` call takes every
+    (center, radius) pair; the samples run center by center.  pass requires
+    every ratio inside ADR_WINDOW.
     """
     if n_centers < 1:
         raise ValueError("n_centers must be >= 1")
     rho_set = [float(x) for x in rho_set]
     if not rho_set:
         raise ValueError("rho_set must hold at least one radius")
-    if any(not 0.0 < x <= DIAM_T for x in rho_set):
-        raise ValueError("radii must lie in (0, 2*sqrt(2)]")
     rng = np.random.default_rng(seed)
     n_cone = n_centers // 2
     centers = []
@@ -575,14 +550,15 @@ def adr_scan(
         a, b = rng.uniform(-np.pi, np.pi, 2)
         centers.append(PolarPoint(rz, a, 1.0, b))
 
-    sigma = np.empty((n_centers, len(rho_set)))
-    for i, rho in enumerate(rho_set):
-        sigma[:, i] = sigma_ball_bT(centers, rho, spec)
-    samples = tuple((p, rho, float(sig)) for p, row in zip(centers, sigma) for rho, sig in zip(rho_set, row))
-    report_ratios = np.array([sig / rho**3 for (_, rho, sig) in samples])
-    lo, hi = float(report_ratios.min()), float(report_ratios.max())
+    points, radii = [p for p in centers for _ in rho_set], rho_set * n_centers
+    sigma = sigma_ball_bT(points, radii, spec)
+    samples = tuple((p, rho, float(sig)) for p, rho, sig in zip(points, radii, sigma))
+    ratios = sigma / np.array([rho**3 for rho in radii])
+    ratios.flags.writeable = False
+    lo, hi = float(ratios.min()), float(ratios.max())
     return ADRReport(
         samples=samples,
+        ratios=ratios,
         min_ratio=lo,
         max_ratio=hi,
         passed=ADR_WINDOW[0] <= lo and hi <= ADR_WINDOW[1],

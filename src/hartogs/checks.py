@@ -285,7 +285,7 @@ def run_adr(params: RunParams) -> list[CheckRow]:
         lo, hi, refinement = -np.inf, np.inf, np.inf
     else:
         # samples run center by center over rho_all, which holds each rho and its rho/2
-        table = report.ratios().reshape(params.centers, len(rho_all))
+        table = report.ratios.reshape(params.centers, len(rho_all))
         fac = table[:, [rho_all.index(rho) for rho in params.rho_set]] \
             / table[:, [rho_all.index(rho / 2.0) for rho in params.rho_set]]
         lo, hi, refinement = report.min_ratio, report.max_ratio, np.max(np.maximum(fac, 1.0 / fac))

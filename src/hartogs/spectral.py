@@ -78,6 +78,9 @@ _BLOCK = 48
 _GEMV_ENTRIES = 2**18
 #: Lanczos steps before giving up; 10 eigenvalues take about 45 on these grids.
 _LANCZOS_STEPS = 300
+#: Steps the Lanczos basis first has room for; it doubles when a solve needs
+#: more, so a 45-step solve does not hold 301 rows (11 MB at n = 96).
+_FIRST_STEPS = 64
 #: Lanczos stops when every wanted Ritz value theta has |beta s_m| <= _RITZ_TOL theta.
 _RITZ_TOL = 1e-14
 
@@ -294,7 +297,7 @@ def _lowest_eigenvalues(problem: ModeProblem, count: int) -> np.ndarray:
     # fixed generic starting vector, so every run takes the same steps
     v = np.random.default_rng(1234).standard_normal(problem.size)
     steps = min(_LANCZOS_STEPS, problem.size)
-    basis = np.empty((steps + 1, problem.size))
+    basis = np.empty((min(_FIRST_STEPS, steps) + 1, problem.size))
     basis[0] = v / np.linalg.norm(v)
     alpha, beta = np.empty(steps), np.empty(steps)
     for j in range(steps):
@@ -316,6 +319,8 @@ def _lowest_eigenvalues(problem: ModeProblem, count: int) -> np.ndarray:
                 return np.sort(1.0 / theta - _SHIFT)
         if not beta[j] > 0.0:
             raise EigenSolverError(f"Lanczos broke down at step {j + 1} for {context}")
+        if j + 1 == len(basis):
+            basis = np.concatenate([basis, np.empty((min(len(basis) - 1, steps - j), problem.size))])
         basis[j + 1] = w / beta[j]
     raise EigenSolverError(f"Lanczos did not converge within {steps} steps for {context}")
 

@@ -156,7 +156,7 @@ def test_adr_scan_window_and_determinism():
     assert rep1.passed
     assert ADR_WINDOW[0] <= rep1.min_ratio <= rep1.max_ratio <= ADR_WINDOW[1]
     assert len(rep1.samples) == 10 * len(rho_set)
-    assert np.all(rep1.ratios() > 0)
+    assert np.all(rep1.ratios > 0)
 
 
 def test_adr_scan_cone_centers_match_profile():
@@ -305,9 +305,14 @@ def test_cyl_ball_matches_midpoint_sum():
         assert ref > 0.0 and got == pytest.approx(ref, rel=1e-6, abs=0.0), (az, aw, rho)
 
 
+# cone parts of cylinder-centred balls near the axis whose 32- and 64-node values differ by
+# 8.6e-10 relative and their 64- and 128-node values by 3e-12, so that they need 128 nodes where the
+# kernel balls stop at 64
+SLOW_BALLS = [(0.0002559646930663882, 1.0, 0.9364237739945253), (0.00023207320868730928, 1.0, 0.9164105679102298)]
+
+
 def test_ceiling_too_small_raises():
-    # a cylinder-centred ball whose 32- and 64-node values differ by 2e-10
-    az, aw, rho = 0.18259034780416677, 1.0, 0.820746181208189
+    az, aw, rho = SLOW_BALLS[0]
     value = _cone_ball(az, aw, rho, SQ2, 128)
     with pytest.raises(boundary.BallNotConvergedError, match=f"az={az!r}, aw={aw!r}, rho={rho!r}") as err:
         _cone_ball(az, aw, rho, SQ2, 64)
@@ -330,11 +335,6 @@ def test_cone_ball_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000  # one 768 x 768 float grid alone is 4.7 MB
-
-
-# cone parts of cylinder-centred balls whose 32- and 64-node values differ by more than
-# 1e-10, so that they need 128 nodes where the kernel balls stop at 64
-SLOW_BALLS = [(0.18259034780416677, 1.0, 0.820746181208189), (0.3705204803215792, 1.0, 0.9604152110411491)]
 
 
 def _columns(balls):
@@ -373,8 +373,14 @@ def test_public_functions_take_a_sequence_of_points():
     points = cone[:3] + cyl
     np.testing.assert_allclose(sigma_ball_bT(points, 0.7, SPEC), [sigma_ball_bT(p, 0.7, SPEC) for p in points],
                                rtol=1e-15, atol=0.0)
+    each = [*radii[:3], 0.01, DIAM_T, 0.9]
+    np.testing.assert_allclose(sigma_ball_bT(points, each, SPEC),
+                               [sigma_ball_bT(p, float(r), SPEC) for p, r in zip(points, each)], rtol=1e-15, atol=0.0)
     with pytest.raises(ValueError, match="r=0.2, s=0.6"):
         sigma_ball_bT(points + [PolarPoint(0.2, 0.0, 0.6, 0.0)], 0.7, SPEC)
+    for bad in (0.0, 3.0, np.nan):
+        with pytest.raises(ValueError, match="rho must lie"):
+            sigma_ball_bT(points, [*each[:3], bad, *each[4:]], SPEC)
 
 
 def test_unconverged_ball_in_a_batch_is_named():
@@ -387,6 +393,18 @@ def test_unconverged_ball_in_a_batch_is_named():
     assert "within 64 nodes per piece: last values [" in str(err.value)
     np.testing.assert_allclose(_cone_ball(az, aw, rho, r_hi, 128), [_cone_ball(*b, 128) for b in balls],
                                rtol=1e-15, atol=0.0)
+
+
+def test_near_tangent_cone_balls_converge():
+    # centre (c, 1) and rho = (c + 1)/(sqrt2 (1 + eps)): for (s1, s2) = (1, -1) the roots
+    # r = -e +- sqrt(rho^2 - f^2) are a near-double pair, complex for eps > 0 with a near-kink
+    # at their real part -e, which Gauss resolved only algebraically until it became a cut
+    c, eps = np.meshgrid(np.linspace(0.05, 0.95, 7), np.concatenate([np.logspace(-1, -9, 9), -np.logspace(-9, -1, 9)]))
+    rho = (c + 1.0) / (SQ2 * (1.0 + eps))  # increasing down each column
+    values = _cone_ball(c.ravel(), 1.0, rho.ravel(), SQ2, 128).reshape(c.shape)
+    assert np.all(values > 0.0) and np.all(np.diff(values, axis=0) > 0.0)
+    # continuous across tangency: rho at eps = +-1e-9 differ by 2e-9 relative
+    np.testing.assert_allclose(values[8], values[9], rtol=1e-6, atol=0.0)
 
 
 def test_batch_memory_stays_blocked():

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,30 @@ def test_lowest_eigenvalues_fail_at_the_step_cap(monkeypatch):
     monkeypatch.setattr(spectral, "_LANCZOS_STEPS", 3)
     with pytest.raises(EigenSolverError, match=r"within 3 steps for mode \(0,0\) at n=16"):
         _lowest_eigenvalues(build_mode(0, 0, 16), 2)
+
+
+def test_lanczos_basis_grows_to_the_steps_taken(monkeypatch):
+    # from room for one step the basis doubles as Lanczos goes on, to the bit the same solve
+    prob = build_mode(0, 0, 64)
+    want = _lowest_eigenvalues(prob, 2)
+    assert want[1] == pytest.approx(14.610610, rel=1e-5)  # the frozen first nonzero value
+    monkeypatch.setattr(spectral, "_FIRST_STEPS", 1)
+    assert np.array_equal(_lowest_eigenvalues(prob, 2), want)
+    monkeypatch.setattr(spectral, "_LANCZOS_STEPS", 3)
+    with pytest.raises(EigenSolverError, match=r"within 3 steps"):
+        _lowest_eigenvalues(prob, 2)
+
+
+def test_lanczos_memory_follows_the_steps_taken():
+    prob = build_mode(0, 0, 96)
+    _lowest_eigenvalues(prob, 2)
+    tracemalloc.start()
+    try:
+        _lowest_eigenvalues(prob, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000  # a basis with room for all 300 steps alone is 11 MB; this solve takes 4.3
 
 
 def test_eigenvalues_grow():
