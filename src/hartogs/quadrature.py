@@ -73,8 +73,9 @@ VOL_T = np.pi**2 / 2.0
 #: 2^18 nodes, 0.37-0.42 s at 2^20 and 0.62-0.67 s at 2^22; the workload's
 #: wall time did not move.  Its resident peak fell from 104.1 MB to 91.7 MB
 #: (medians of ten runs each) and is set by the Neumann eigensolves: in one
-#: process the RSS is 30 MB after import, and the workload's spectral calls
-#: alone take it to 65 MB, so a smaller slab would not lower it further.
+#: process the RSS is 38 MB after import, and the workload's spectral calls
+#: alone take it to 61 MB (a 63 MB peak), so a smaller slab would not lower
+#: it further.
 _SLAB_NODES = 2**18
 
 

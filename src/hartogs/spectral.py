@@ -26,7 +26,10 @@ complement on the even cells is block tridiagonal once consecutive even
 anti-diagonals are grouped into blocks.  Each block keeps its dense inverse,
 so a solve is one forward and one backward sweep of small matrix-vector
 products; :func:`solve_neumann` factors K itself the same way, with one cell
-pinned in the (0, 0) mode.  Lanczos reorthogonalises every step against all earlier vectors
+pinned in the (0, 0) mode.  The cells, edges and elimination layout depend
+on n alone: :func:`_grid` builds them once per n, reading ``_BLOCK`` then,
+and every mode and factor at that n shares them, so a factor computes only
+values.  Lanczos reorthogonalises every step against all earlier vectors
 (two classical Gram-Schmidt passes) and stops when every wanted Ritz value
 has a residual estimate below 1e-14 of itself.  The zero mode of (0, 0) is
 reproduced at roundoff level and the Poincare constant is estimated as
@@ -43,6 +46,7 @@ count there (see ``_GEMV_ENTRIES``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +68,11 @@ _W4 = (2.0 * np.pi) ** 2
 #: Lanczos runs on (A + _SHIFT I)^{-1}, which is SPD since A is positive semidefinite.
 _SHIFT = 0.5
 #: Most cells in a block of several anti-diagonals; a longer anti-diagonal is
-#: a block of its own.  On 2 vCPUs (numpy 2.4.6), the spectrum battery and the
-#: benchmark's fine-grid eigensolves took 28.8 and 257 ms with 48, the same
-#: within 2% from 40 to 64, and 34.0 and 283 ms with 96, where ``inv`` costs
-#: 1.7 us per cell against 0.8 us at 48.
+#: a block of its own.  Read when a grid's layout is built (:func:`_grid`).
+#: On 2 vCPUs (numpy 2.4.6), with the layouts built, the spectrum battery and
+#: the benchmark's fine-grid spectral calls took 24.2 and 221 ms with 48, the
+#: same within 4% from 32 to 64, and 29.4 and 244 ms with 96, where ``inv``
+#: costs 1.7 us per cell against 0.8 us at 48.
 _BLOCK = 48
 # In a two-thread pool on 2 vCPUs, numpy 2.4.6's OpenBLAS 0.3.31 kept ``inv``
 # up to 97 x 97, ``@`` of two matrices up to 100 x 100 and a 31 x 14000
@@ -141,24 +146,104 @@ class ModeProblem:
         return self.r_centers.size
 
 
+class _Grid:
+    """What depends on the resolution n alone: the active cells, their edges
+    and the elimination layout of :class:`_Factor`.  Built once per n by
+    :func:`_grid` and shared by every mode at that n, so its arrays are
+    read-only."""
+
+    def __init__(self, n: int):
+        ci, cj = np.triu_indices(n, 1)  # active cells i < j, row by row
+        cells = np.arange(ci.size)
+        index = np.full((n, n), -1)
+        index[ci, cj] = cells
+        # horizontal neighbors (i, j) - (i+1, j), kept strictly below the
+        # diagonal, and vertical ones (i, j) - (i, j+1)
+        right = ci + 1 < cj
+        up = cj + 1 < n
+        heads = np.concatenate([cells[right], cells[up]])
+        tails = np.concatenate([index[ci[right] + 1, cj[right]], index[ci[up], cj[up] + 1]])
+        self.ci, self.cj, self.right, self.up, self.heads, self.tails = ci, cj, right, up, heads, tails
+
+        anti = ci + cj
+        odd_cell = anti % 2 == 1
+        odd = np.flatnonzero(odd_cell)
+        even = np.flatnonzero(~odd_cell)
+        even = even[np.lexsort((ci[even], anti[even]))]  # by anti-diagonal, then by i
+        position = np.empty(ci.size, dtype=np.int64)  # in odd, or in the even order
+        position[odd] = np.arange(odd.size)
+        position[even] = np.arange(even.size)
+        self.odd, self.even = odd, even
+
+        # the up to four edges of each odd cell as (even position, entry)
+        # slots: edge edge_order[t] fills flat slot slots[t] of nbr
+        odd_end = np.where(odd_cell[heads], heads, tails)
+        self.edge_order = np.argsort(odd_end, kind="stable")
+        owner = position[odd_end[self.edge_order]]
+        slot = np.arange(owner.size) - np.searchsorted(owner, owner)
+        self.slots = owner * 4 + slot
+        self.nbr = np.zeros((odd.size, 4), dtype=np.int64)
+        self.nbr[owner, slot] = position[(heads + tails - odd_end)[self.edge_order]]
+        filled = np.zeros((odd.size, 4), dtype=bool)
+        filled[owner, slot] = True
+
+        # blocks of whole even anti-diagonals
+        lengths = np.bincount(anti[even] // 2)
+        lengths = lengths[lengths > 0]
+        sizes = [0]
+        for length in lengths.tolist():
+            if sizes[-1] and sizes[-1] + length > _BLOCK:
+                sizes.append(0)
+            sizes[-1] += length
+        self.sizes = tuple(sizes)
+        self.widths = tuple(size + after for size, after in zip(sizes, sizes[1:] + [0]))  # of [D_k | C_k]
+        self.bounds = np.concatenate([[0], np.cumsum(sizes)])
+        block = np.repeat(np.arange(len(sizes)), sizes)
+
+        # entries of S on and above the block diagonal, grouped by the block of
+        # their row: the diagonal first, then the pairs of filled slots of each
+        # odd cell, gathered from [diag[even], pair.ravel()]; block k's rows
+        # [D_k | C_k] start at its first cell in both blocks' columns, so a
+        # row's offset there is cols - bounds[k].  Block k's entries end at ends[k]
+        shape = (odd.size, 4, 4)
+        rows = np.broadcast_to(self.nbr[:, :, None], shape).ravel()
+        cols = np.broadcast_to(self.nbr[:, None, :], shape).ravel()
+        kept = np.flatnonzero((filled[:, :, None] & filled[:, None, :]).ravel() & (block[cols] >= block[rows]))
+        diagonal = np.arange(even.size)
+        rows = np.concatenate([diagonal, rows[kept]])
+        cols = np.concatenate([diagonal, cols[kept]])
+        gather = np.concatenate([diagonal, even.size + kept])
+        order = np.argsort(block[rows], kind="stable")
+        rows, cols, self.gather = rows[order], cols[order], gather[order]
+        first = self.bounds[block[rows]]
+        self.flat = (rows - first) * np.asarray(self.widths)[block[rows]] + cols - first
+        self.ends = np.cumsum(np.bincount(block[rows], minlength=len(sizes)))
+
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=None)
+def _grid(n: int) -> _Grid:
+    """The layout of the n-grid, built once per n with the ``_BLOCK`` of that
+    moment; see :class:`_Factor`."""
+    return _Grid(n)
+
+
 def build_mode(l: int, m: int, n: int) -> ModeProblem:
     """Assemble stiffness and mass of mode (l, m) at grid resolution n."""
     if n < 8:
         raise ValueError("grid resolution must be >= 8")
     h = 1.0 / n
-    ci, cj = np.triu_indices(n, 1)  # active cells i < j, row by row
-    cells = np.arange(ci.size)
-    index = np.full((n, n), -1)
-    index[ci, cj] = cells
+    g = _grid(n)
+    ci, cj, right, up = g.ci, g.cj, g.right, g.up
     rc = (ci + 0.5) * h
     sc = (cj + 0.5) * h
-    # horizontal neighbors (i, j) - (i+1, j), kept strictly below the diagonal,
-    # with edge midpoint ((i+1)h, s_j); vertical ones (i, j) - (i, j+1) at (r_i, (j+1)h)
-    right = ci + 1 < cj
-    up = cj + 1 < n
+    # edge midpoints ((i+1)h, s_j) on the right edges and (r_i, (j+1)h) on the up ones
     stiffness = Stiffness(
-        heads=np.concatenate([cells[right], cells[up]]),
-        tails=np.concatenate([index[ci[right] + 1, cj[right]], index[ci[up], cj[up] + 1]]),
+        heads=g.heads,
+        tails=g.tails,
         weights=np.concatenate([_W4 * (ci[right] + 1.0) * h * sc[right], _W4 * rc[up] * (cj[up] + 1.0) * h]),
         potential=_W4 * (l * l / rc**2 + m * m / sc**2) * rc * sc * h * h,
     )
@@ -190,63 +275,28 @@ class _Factor:
     anti-diagonal per block when it is longer), which makes S block
     tridiagonal with diagonal blocks D_k and couplings C_k.  Block LDL^T:
     T_k = (D_k - G_{k-1} C_{k-1})^{-1} and G_k = C_k^T T_k.
+
+    That layout depends on n alone and is the n-grid's :class:`_Grid`, built
+    once per n with the ``_BLOCK`` of that moment and shared by every mode
+    and factor there.  A factor computes only values: the slot entries, the
+    pairings through each odd cell, one bincount per block row [D_k | C_k],
+    the inverses and the couplings.
     """
 
     def __init__(self, problem: ModeProblem, diag: np.ndarray, off: np.ndarray):
-        K = problem.stiffness
-        ci, cj = np.triu_indices(problem.n, 1)
-        anti = ci + cj
-        odd_cell = anti % 2 == 1
-        self.odd = np.flatnonzero(odd_cell)
-        even = np.flatnonzero(~odd_cell)
-        self.even = even[np.lexsort((ci[even], anti[even]))]
-        position = np.empty(problem.size, dtype=np.int64)  # in odd, or in the even order
-        position[self.odd] = np.arange(self.odd.size)
-        position[self.even] = np.arange(self.even.size)
-
-        # the up to four edges of each odd cell as (even position, entry) slots
-        odd_end = np.where(odd_cell[K.heads], K.heads, K.tails)
-        order = np.argsort(odd_end, kind="stable")
-        owner = position[odd_end[order]]
-        slot = np.arange(order.size) - np.searchsorted(owner, owner)
-        self.nbr = np.zeros((self.odd.size, 4), dtype=np.int64)
-        self.val = np.zeros((self.odd.size, 4))
-        self.nbr[owner, slot] = position[(K.heads + K.tails - odd_end)[order]]
-        self.val[owner, slot] = off[order]
+        g = _grid(problem.n)
+        self.odd, self.even, self.nbr, self.bounds = g.odd, g.even, g.nbr, g.bounds
+        val = np.zeros(g.nbr.size)
+        val[g.slots] = off[g.edge_order]
+        self.val = val.reshape(g.nbr.shape)
         self.odd_diag = diag[self.odd]
-
-        # blocks of whole even anti-diagonals
-        lengths = np.bincount(anti[self.even] // 2)
-        lengths = lengths[lengths > 0]
-        sizes = [0]
-        for length in lengths.tolist():
-            if sizes[-1] and sizes[-1] + length > _BLOCK:
-                sizes.append(0)
-            sizes[-1] += length
-        self.bounds = np.concatenate([[0], np.cumsum(sizes)])
-        block = np.repeat(np.arange(len(sizes)), sizes)
-
-        # entries of S on and above the block diagonal, grouped by the block of
-        # their row; block k's rows [D_k | C_k] start at its first cell in both
-        # blocks' columns, so a row's offset there is cols - bounds[k]
         pair = -(self.val[:, :, None] * self.val[:, None, :]) / self.odd_diag[:, None, None]
-        rows = np.broadcast_to(self.nbr[:, :, None], pair.shape).ravel()
-        cols = np.broadcast_to(self.nbr[:, None, :], pair.shape).ravel()
-        keep = (pair.ravel() != 0.0) & (block[cols] >= block[rows])
-        rows = np.concatenate([np.arange(self.even.size), rows[keep]])
-        cols = np.concatenate([np.arange(self.even.size), cols[keep]])
-        vals = np.concatenate([diag[self.even], pair.ravel()[keep]])
-        order = np.argsort(block[rows], kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        widths = [size + after for size, after in zip(sizes, sizes[1:] + [0])]
-        first = self.bounds[block[rows]]
-        flat = (rows - first) * np.asarray(widths)[block[rows]] + cols - first
-        ends = np.cumsum(np.bincount(block[rows], minlength=len(sizes)))
+        vals = np.concatenate([diag[self.even], pair.ravel()])[g.gather]
 
         self.inverses, self.couplings = [], []  # T_k and G_k
-        for k, (size, width) in enumerate(zip(sizes, widths)):
-            lo = ends[k - 1] if k else 0
-            R = np.bincount(flat[lo:ends[k]], vals[lo:ends[k]], size * width).reshape(size, width)
+        for k, (size, width) in enumerate(zip(g.sizes, g.widths)):
+            lo = g.ends[k - 1] if k else 0
+            R = np.bincount(g.flat[lo:g.ends[k]], vals[lo:g.ends[k]], size * width).reshape(size, width)
             D = R[:, :size]
             if k:
                 D = D - self.couplings[-1] @ C
@@ -346,6 +396,11 @@ def poincare_constant(n: int, mode_cut: int) -> float:
     diagonal, so no mode undercuts (0, 0), (1, 0) and (0, 1).  Only those
     three modes are solved.  At n = 64, C = 0.5434540599802488 for mode_cut
     1, 2 and 3.
+
+    Against (0, 0) the bound is explicit: cell by cell the potential of
+    (l, m) is (l^2/r_c^2 + m^2/s_c^2) times the mass, at least (l^2 + m^2)
+    times it since r_c, s_c < 1, so by min-max
+    lambda_k(l, m) >= lambda_k(0, 0) + l^2 + m^2 for every k.
     """
     if mode_cut < 1:
         raise ValueError("mode_cut must be >= 1")

@@ -71,6 +71,39 @@ def test_forms_apply_as_their_matrices():
     assert np.array_equal(prob.mass @ u, prob.mass.diagonal() * u)
 
 
+def test_modes_at_one_grid_share_its_read_only_edges():
+    a, b = build_mode(0, 0, 20), build_mode(2, 1, 20)
+    assert a.stiffness.heads is b.stiffness.heads
+    assert a.stiffness.tails is b.stiffness.tails
+    for edges in (a.stiffness.heads, a.stiffness.tails):
+        with pytest.raises(ValueError):
+            edges[0] = 1
+
+
+def test_factors_at_one_grid_share_their_layout():
+    factors = []
+    for l, m in ((0, 0), (1, 0)):
+        prob = build_mode(l, m, 20)
+        K = prob.stiffness
+        factors.append(spectral._Factor(prob, K.diagonal() + 1.0, -K.weights))
+    for name in ("odd", "even", "nbr", "bounds"):
+        assert getattr(factors[0], name) is getattr(factors[1], name)
+
+
+def test_results_do_not_depend_on_the_grid_cache():
+    def run():
+        f = lambda r, s: np.cos(np.pi * s) + r * r  # noqa: E731
+        return (neumann_spectrum(0, 1, 17, 3), neumann_spectrum(0, 0, 17, 3),
+                solve_neumann(f, 0, 0, 17), solve_neumann(f, 1, 1, 34))
+
+    spectral._grid.cache_clear()
+    cold = run()
+    build_mode(2, 1, 17), build_mode(2, 1, 34)  # layouts now built by another mode
+    warm = run()
+    assert cold[:2] == warm[:2]
+    assert all(np.array_equal(u, v) for u, v in zip(cold[2:], warm[2:]))
+
+
 def test_constants_are_harmonic_in_zero_mode():
     prob = build_mode(0, 0, 48)
     ones = np.ones(prob.size)
@@ -119,7 +152,7 @@ def test_frozen_eigenvalues():
         assert lam == pytest.approx(expected, rel=1e-5)
 
 
-@pytest.mark.parametrize("n", [16, 24, 32])
+@pytest.mark.parametrize("n", [16, 17, 24, 25, 32])  # odd n changes the parity of the anti-diagonals
 @pytest.mark.parametrize("l, m", [(0, 0), (1, 0), (0, 1), (2, 1)])
 def test_lowest_eigenvalues_match_dense_pencil(l, m, n):
     # independent reference: LAPACK on the dense generalized pencil (K, M)
@@ -128,6 +161,17 @@ def test_lowest_eigenvalues_match_dense_pencil(l, m, n):
                             eigvals_only=True, subset_by_index=[0, 5])
     got = _lowest_eigenvalues(prob, 6)
     assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(np.abs(ref), 1.0))
+
+
+@pytest.mark.parametrize("n", [12, 17, 24])
+@pytest.mark.parametrize("l, m", [(1, 0), (0, 1), (1, 1), (2, 1)])
+def test_angular_modes_lie_above_the_zero_mode(l, m, n):
+    # r_c, s_c < 1 makes the potential at least (l^2 + m^2) times the mass in
+    # every cell, so by min-max lambda_k(l, m) >= lambda_k(0, 0) + l^2 + m^2
+    prob = build_mode(l, m, n)
+    assert np.all(prob.stiffness.potential >= (l * l + m * m) * prob.mass.values)
+    base = _lowest_eigenvalues(build_mode(0, 0, n), 4)
+    assert np.all(_lowest_eigenvalues(prob, 4) >= base + l * l + m * m)
 
 
 def _no_factor(*args):
