@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .points import PolarPoint
-from .quadrature import QuadratureSpec, _gl_unit, _angular_nodes, _slab_sums
+from .quadrature import QuadratureSpec, _abs2_sums, _gl_unit, _angular_nodes, _slab_sums
 
 __all__ = [
     "LaurentIndex",
@@ -159,9 +159,14 @@ def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentC
     """Orthogonal projection coefficients a_jk = (f, v_jk) / ||v_jk||^2.
 
     Evaluates f once on the tensor grid, in x-slabs of
-    ``quadrature._slab_sums``: each slab gives its angular sums of |f|^2,
-    which carry the finite check, and its pairings with the block reduced
-    over every axis but x.  Two matrix products contract alpha onto the
+    ``quadrature._slab_sums``.  A broadcast slab (a field constant in beta,
+    say) is made contiguous once, and both reductions read that copy.  Each
+    slab gives its angular sums of |f|^2, one einsum over the float64 parts
+    (``quadrature._abs2_sums``), which carry the finite check, and its
+    pairings with the block reduced over every axis but x.  A real slab is
+    paired as complex, as numpy casts it for the products, so the
+    coefficients do not depend on whether f returns reals or complexes with
+    zero imaginary part.  Two matrix products contract alpha onto the
     jmax + 1 l-modes first and then beta onto the m-modes, and one more
     contracts s with each index's radial weight s^k w_s s^3, so a slab
     leaves a (rows, block size) array and the transform of the whole grid is
@@ -188,7 +193,8 @@ def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentC
     Wx = xs[:, None] ** j * (wxs * xs)[:, None]  # (n, q)
 
     def reduce(vals):
-        yield (np.abs(vals) ** 2).sum(axis=(2, 3))
+        vals = np.ascontiguousarray(vals)  # a broadcast slab is copied once, for both reductions
+        yield _abs2_sums(vals)
         # F[x, s, l, m] = sum_ab f(x,s,a,b) e^{-i(l a + m b)} w_a w_b; alpha first,
         # onto the fewer modes (nl = jmax + 1 <= nm = jmax + kmax + 2)
         F = (El @ vals) @ EmT

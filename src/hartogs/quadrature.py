@@ -25,11 +25,16 @@ caller's per-row reductions; it also holds the finite check.  Its callers are
 ``integrate_T`` and ``bergman.project`` (x-slabs of the tensor grid, (R, S) =
 (x s, s)) and ``dbar.cutoff_commutator_check`` (t-slabs of the shell grid,
 (R, S) = (t cos theta, t sin theta)).  ``integrate_T`` and the cutoff check
-keep one angular sum per (i, j); ``project`` reduces each slab to its
-pairings with the block, one per row and block index, so every pass holds
-about one slab.  Each slab is evaluated exactly as the whole grid would be,
-row for row, so ``integrate_T`` does not depend on the slab size;
-``project``'s transform may round differently in the last bits.
+keep one angular sum per (i, j); ``project`` keeps the angular sums of
+|f|^2 and reduces each slab to its pairings with the block, one per row and
+block index, so every pass holds about one slab.  A slab keeps f's values as
+float64 when they are real (bool, integer or float) and as complex128
+otherwise, so a real integrand is summed as reals, from half the bytes;
+``project`` takes its sums of |f|^2 from ``_abs2_sums``, re^2 + im^2 per
+node over the float64 parts.  Each slab is evaluated
+exactly as the whole grid would be, row for row, so ``integrate_T`` does not
+depend on the slab size; ``project``'s transform may round differently in
+the last bits.
 
 Randomness: ``sample_T`` rejection-samples the unit bidisk (accept |z| < |w|,
 acceptance rate 1/2) using numpy's default_rng, i.e. the PCG64 generator.
@@ -65,14 +70,16 @@ VOL_T = np.pi**2 / 2.0
 #: grids of integrate_T and bergman.project and the shell grid of
 #: dbar.cutoff_commutator_check.  2^18 complex values are 4 MB, one x-row at
 #: level 64; the whole grid (2^24 nodes) is 268 MB in one complex array alone.
-#: At level 64 (2 vCPUs, numpy 2.4.6) the traced peak of integrate_T is 6.4 MB
-#: and that of project 6.6 MB; with 2^20-node slabs, and project holding its
-#: whole angular transform, they were 25.3 and 35.2 MB.  Over the three
-#: level-64 grid calls of the benchmark's fine_grids workload, in two runs of
-#: five repetitions with sizes interleaved, the median time was 0.38-0.44 s at
-#: 2^18 nodes, 0.37-0.42 s at 2^20 and 0.62-0.67 s at 2^22; the workload's
-#: wall time did not move.  Its resident peak fell from 104.1 MB to 91.7 MB
-#: (medians of ten runs each) and is set by the Neumann eigensolves: in one
+#: At level 64 (2 vCPUs, numpy 2.4.6) the traced peak of integrate_T(|v_35|^2)
+#: is 6.4 MB and that of project 5.3 MB, for v_23 and for the broadcast conj z
+#: alike; with 2^20-node slabs, and project holding its whole angular
+#: transform, they were 25.3 and 35.2 MB.  Over the three level-64 grid calls
+#: of the benchmark's fine_grids workload (project of v_23 and of conj z,
+#: integrate_T of |v_35|^2), in two runs of five repetitions with sizes
+#: interleaved, the median time was 0.20 s at 2^18 nodes, 0.19 s at 2^20 and
+#: 0.21-0.22 s at 2^22.  When 2^18 replaced 2^20 the workload's wall time
+#: did not move, and its resident peak fell from 104.1 MB to 91.7 MB (medians
+#: of ten runs each).  That peak is set by the Neumann eigensolves: in one
 #: process the RSS is 38 MB after import, and the workload's spectral calls
 #: alone take it to 61 MB (a 63 MB peak), so a smaller slab would not lower
 #: it further.
@@ -154,8 +161,10 @@ def _slab_sums(f: Callable, R: np.ndarray, S: np.ndarray, ang: np.ndarray, reduc
     (R[i, j], ang[k], S[i, j], ang[l]), evaluated in row-slabs.
 
     f is called once per slab of consecutive rows (at least one row, at most
-    ``_SLAB_NODES`` nodes), its values broadcast to the full complex slab
-    shape (rows, m, len(ang), len(ang)).  ``reduce(vals)`` is an iterable of
+    ``_SLAB_NODES`` nodes), its values broadcast to the slab shape
+    (rows, m, len(ang), len(ang)): float64 when f returns real values (bool,
+    integer or float), complex128 otherwise.  A broadcast slab may be a
+    read-only view with zero strides.  ``reduce(vals)`` is an iterable of
     the slab's reductions, each an array whose first axis is the slab's rows
     i; the other axes are the caller's (the angular sums keep j, and
     ``bergman.project`` reduces j too).  The slabs' reductions k are joined
@@ -179,7 +188,8 @@ def _slab_sums(f: Callable, R: np.ndarray, S: np.ndarray, ang: np.ndarray, reduc
     slabs = []
     for lo in range(0, n, step):
         rows = slice(lo, min(lo + step, n))
-        vals = np.asarray(f(R[rows, :, None, None], A, S[rows, :, None, None], B), dtype=complex)
+        vals = np.asarray(f(R[rows, :, None, None], A, S[rows, :, None, None], B))
+        vals = vals.astype(float if vals.dtype.kind in "biuf" else complex, copy=False)
         vals = np.broadcast_to(vals, (rows.stop - lo, m, ang.size, ang.size))
         sums = iter(reduce(vals))
         first = next(sums)
@@ -194,11 +204,25 @@ def _slab_sums(f: Callable, R: np.ndarray, S: np.ndarray, ang: np.ndarray, reduc
     return [np.concatenate(parts) for parts in zip(*slabs)]
 
 
+def _abs2_sums(vals: np.ndarray) -> np.ndarray:
+    """Sums of |vals|^2 over the last two axes of a 4-D slab, one per (i, j).
+
+    One einsum over the float64 parts: a complex slab is read as its
+    interleaved (re, im) pairs, so each node adds re^2 + im^2, with no square
+    root taken and undone; a real slab adds its squares.  A slab that is not
+    C-contiguous (a broadcast field) is copied first; a caller that reads the
+    slab again makes it contiguous itself and passes that copy.
+    """
+    parts = np.ascontiguousarray(vals).view(np.float64)
+    return np.einsum("ijkl,ijkl->ij", parts, parts)
+
+
 def integrate_T(f: Callable, spec: QuadratureSpec) -> complex:
     """Integrate f over T with respect to dV = r s dr ds dalpha dbeta.
 
     ``f`` is called as ``f(r, alpha, s, beta)`` on broadcastable arrays and
-    must return values (numpy semantics).  The result is always complex;
+    must return values (numpy semantics).  Real values are summed as
+    float64, complex ones as complex128.  The result is always complex;
     real-valued callers take the real part themselves.
 
     f is evaluated in x-slabs by ``_slab_sums``, whose finite check runs on

@@ -7,6 +7,7 @@ a compact verdict table.
 
 import pytest
 
+from hartogs import bergman, dbar, quadrature
 from hartogs.quadrature import QuadratureSpec
 
 CRITERION_LABELS = {
@@ -59,3 +60,22 @@ def spec24():
 @pytest.fixture(scope="session")
 def spec32():
     return QuadratureSpec(level=32)
+
+
+@pytest.fixture
+def slab_dtypes(monkeypatch):
+    """The dtype of each slab as the reductions of integrate_T, project and
+    cutoff_commutator_check receive it, in call order."""
+    seen = []
+    inner = quadrature._slab_sums
+
+    def recording(f, R, S, ang, reduce):
+        def recorded(vals):
+            seen.append(vals.dtype)
+            return reduce(vals)
+
+        return inner(f, R, S, ang, recorded)
+
+    for module in (quadrature, bergman, dbar):
+        monkeypatch.setattr(module, "_slab_sums", recording)
+    return seen

@@ -329,6 +329,18 @@ def test_cutoff_one_field_closed_forms(k):
     assert rep.lhs / rep.rhs == pytest.approx(0.6965759658922468, rel=1e-13)
 
 
+@pytest.mark.parametrize("delta", [0.25, 2.0**-6])
+def test_cutoff_real_field_matches_its_complex_form(slab_dtypes, delta):
+    # a real field reaches the shell rows as float64 slabs, the same field + 0j as complex
+    # ones, and both give the same report bit for bit
+    for real in (ONE, lambda r, a, s, b: r * np.cos(a) + s * np.sin(2 * b) - 0.5 * s):
+        rep = cutoff_commutator_check(real, delta, SPEC)
+        slabs = len(slab_dtypes)
+        assert rep == cutoff_commutator_check(lambda r, a, s, b: real(r, a, s, b) + 0j, delta, SPEC)
+        assert slab_dtypes == [np.float64] * slabs + [np.complex128] * slabs
+        slab_dtypes.clear()
+
+
 def test_cutoff_outer_rule_rejects_kinked_field():
     # |f|^2 = |s - 1.5 delta| has a kink inside (delta, 2 delta): the 10- and 20-node outer rules disagree
     delta = 0.1

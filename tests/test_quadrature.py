@@ -122,13 +122,15 @@ def test_non_finite_integrand(spec24):
 
 
 def tensor_values_whole(f, xs, ss, ang):
-    """Reference: f on the whole (x, s, alpha, beta) grid at once, r = x*s;
-    NonFiniteIntegrandError names the first nan/inf node."""
+    """Reference: f on the whole (x, s, alpha, beta) grid at once, r = x*s,
+    float64 where f is real and complex otherwise; NonFiniteIntegrandError
+    names the first nan/inf node."""
     X = xs[:, None, None, None]
     S = ss[None, :, None, None]
     A = ang[None, None, :, None]
     B = ang[None, None, None, :]
-    vals = np.asarray(f(X * S, A, S, B), dtype=complex)
+    vals = np.asarray(f(X * S, A, S, B))
+    vals = vals.astype(float if vals.dtype.kind in "biuf" else complex)  # real values stay real
     vals = np.broadcast_to(vals, (xs.size, ss.size, ang.size, ang.size))
     finite = np.isfinite(vals)
     if not finite.all():
@@ -262,6 +264,89 @@ def test_integrate_T_overflow_is_not_an_error(monkeypatch, big):
     value = integrate_T(f, spec)
     np.testing.assert_equal(value, integrate_T_whole(f, spec))  # bitwise, nan where the reference has nan
     assert np.isfinite(value) == (big == 1e200)
+
+
+# f's values as the reductions receive them: real kinds as float64, the rest as complex128
+SLAB_DTYPES = {
+    "float64": (lambda r, a, s, b: r * s + np.cos(a - b), np.float64),
+    "float32": (lambda r, a, s, b: (r * s + np.cos(a - b)).astype(np.float32), np.float64),
+    "int": (lambda r, a, s, b: np.floor(8 * r / s).astype(np.int64), np.float64),
+    "bool": (lambda r, a, s, b: r < s * np.cos(a - b), np.float64),
+    "complex128": (lambda r, a, s, b: r * np.exp(1j * a) + s, np.complex128),
+    "complex64": (lambda r, a, s, b: (r * np.exp(1j * a) + s).astype(np.complex64), np.complex128),
+}
+
+
+@pytest.mark.parametrize("caller", TENSOR_CALLERS)
+@pytest.mark.parametrize("case", SLAB_DTYPES)
+def test_slab_dtype_follows_f(slab_dtypes, caller, case):
+    f, dtype = SLAB_DTYPES[case]
+    value = TENSOR_CALLERS[caller](f, QuadratureSpec(level=5))
+    assert slab_dtypes == [dtype]  # one slab at level 5
+    if caller == "integrate_T":
+        assert type(value) is complex
+
+
+def test_integer_valued_f_integrates_as_its_float_version(monkeypatch, slab_dtypes):
+    monkeypatch.setattr(quadrature, "_SLAB_NODES", 2 * 7**3)
+    spec = QuadratureSpec(level=7)
+    counts = lambda r, a, s, b: np.floor(16 * r / s) * np.round(4 * np.cos(a - 2 * b)) + 3
+    as_int = lambda r, a, s, b: counts(r, a, s, b).astype(np.int64)
+    value = integrate_T(as_int, spec)
+    assert slab_dtypes == [np.float64] * 4  # rows 2, 2, 2, 1: summed as reals
+    assert value == integrate_T(counts, spec) == integrate_T_whole(counts, spec)  # bitwise
+
+
+def test_abs2_sums_match_abs_squared():
+    rng = np.random.default_rng(11)
+    z = rng.normal(size=(3, 4, 64, 64)) + 1j * rng.normal(size=(3, 4, 64, 64))
+    slabs = {
+        "contiguous": z,
+        "broadcast": np.broadcast_to(z[:1, :, :, :1], z.shape),
+        "transposed": z.transpose(0, 1, 3, 2),
+        "real": z.real.copy(),
+        "real broadcast": np.broadcast_to(z.real[:, :1, :1, :], z.shape),
+    }
+    for name, vals in slabs.items():
+        want = (np.abs(vals) ** 2).sum(axis=(2, 3))
+        got = quadrature._abs2_sums(vals)
+        assert got.dtype == np.float64 and got.shape == want.shape, name
+        assert np.max(np.abs(got - want) / want) <= 1e-13, name
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("value", [1e200, -1e200, 1e200j, 1e-200 + 1e200j, complex(1e200, 1e200)])
+def test_abs2_sums_overflow_to_inf(value):
+    vals = np.full((1, 2, 3, 3), value)
+    vals[0, 0] = 1.0
+    np.testing.assert_equal(quadrature._abs2_sums(vals), [[9.0, np.inf]])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("f", [lambda r, a, s, b: 1e200 * (r + s), lambda r, a, s, b: (1e-200 + 1e200j) * (r + s)])
+def test_project_norm_overflow_with_real_or_imaginary_values(monkeypatch, f):
+    # |f|^2 overflows in the float64 parts: f_norm_sq is inf, the coefficients are finite
+    monkeypatch.setattr(quadrature, "_SLAB_NODES", 4 * 9**3)
+    co = project(f, 3, 3, QuadratureSpec(level=9))
+    assert co.f_norm_sq == np.inf
+    assert all(np.isfinite(a) for a in co.entries.values())
+    assert abs(co.get(0, 0)) > 1e199
+
+
+@pytest.mark.parametrize("caller", TENSOR_CALLERS)
+def test_real_field_nan_node_is_named(monkeypatch, caller):
+    level = 9
+    monkeypatch.setattr(quadrature, "_SLAB_NODES", 4 * level**3)
+    node = tensor_node(level, 6, 2, 3, 5)
+
+    def bad(r, a, s, b):
+        hit = (r == node[0]) & (a == node[1]) & (s == node[2]) & (b == node[3])
+        return np.where(hit, np.nan, r * s + np.cos(a))
+
+    with pytest.raises(NonFiniteIntegrandError) as slabbed:
+        TENSOR_CALLERS[caller](bad, QuadratureSpec(level=level))
+    assert slabbed.value.node == node
+    assert np.isnan(slabbed.value.value)
 
 
 def test_integrate_T_memory_is_slab_bound():
