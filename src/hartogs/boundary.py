@@ -50,23 +50,28 @@ The node count is measured, not chosen: each ball runs its rule with 32
 nodes per piece and doubles while two successive values differ by more than
 1e-10 relative, returning the finer one.  ``QuadratureSpec.surface_cells``
 is the ceiling; a ball that reaches it without agreement raises
-:class:`BallNotConvergedError`, a ValueError.
+:class:`BallNotConvergedError`, a ValueError that names the node count of
+the ball's last rule.
 At 32 and 64 nodes the apex profile f(0) and the total sigma(bT) meet their
 closed forms to about 1e-15.
 
 Batches.  ``_cone_ball`` and ``_cyl_ball`` take arrays of balls (az, aw,
-rho) and return one value per ball; a call with numbers is a batch of one.
-Each ball's breakpoints are sorted row-wise, repeated and absent ones give no
-piece, and the surviving pieces of all balls form one table with a ball id
-per piece, so no ball is padded to the widest one; per-ball values are sums
-by ball id.  Each array pass evaluates one node count, and after the first
-only for the balls, under a mask, whose last two values still disagree.
-Balls with min(az, aw) < 1e-300 take the closed-form alpha-integral by mask.
-Pieces run in blocks, and the cone's (r-node x alpha-node) work array in
-blocks of ``_BLOCK_CELLS`` values, so memory does not grow with the batch.
-The public functions accept a sequence of points for one such batch, and
-``adr_scan`` evaluates every (center, radius) pair in one ``sigma_ball_bT``
-call.
+rho) and return one value per ball; a call with numbers is a batch of one
+and returns a float.  The two kernels hold only their geometry: each ball's
+breakpoints and piece parameters, and one or more parts, an integrand with
+the mask of balls it serves (the cone's balls with min(az, aw) < 1e-300
+take the closed-form alpha-integral).  One driver, ``_measured``, measures
+every batch.  Each ball's breakpoints are sorted row-wise, repeated and
+absent ones give no piece, and the surviving pieces of all balls form one
+table with a ball id per piece, so no ball is padded to the widest one;
+per-ball values are sums by ball id, and a ball with no pieces is 0.  Each
+array pass evaluates one node count, one ``_piece_sums`` call per part that
+has pieces, and after the first only for the balls, under a mask, whose last
+two values still disagree.  Pieces run in blocks, and the cone's (r-node x
+alpha-node) work array in blocks of ``_BLOCK_CELLS`` values, so memory does
+not grow with the batch.  The public functions accept a sequence of points
+for one such batch, and ``adr_scan`` evaluates every (center, radius) pair
+in one ``sigma_ball_bT`` call.
 
 The normalized profile f(t) = sigma(B_1(p) cap bT_inf) at |p| = t gives the
 dilation law sigma(B_rho(p) cap bT_inf) = rho^3 f(|p|/rho), with
@@ -139,7 +144,7 @@ def _cosine_gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _balls(az, aw, rho, *more):
     """Ball parameters as rows of one float array, one column per ball, and
-    whether every parameter was a number (then the caller returns a float).
+    whether every parameter was a number (then ``_measured`` returns a float).
 
     ValueError if a centre modulus or radius is not finite.
     """
@@ -172,8 +177,9 @@ def _pieces(cuts: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _piece_sums(table, ball, m: int, per_node: int, integrand, nballs: int) -> np.ndarray:
-    """Per-ball sums of the cosine-mapped rule with m nodes per piece over
-    the pieces of ``table`` (rows as made by ``_pieces``).
+    """Per-ball sums of one part's cosine-mapped rule with m nodes per piece
+    over the pieces of ``table`` (rows as made by ``_pieces``); one pass of
+    ``_measured``.
 
     integrand(nodes, rows) is the integrand at the (pieces, m) nodes of those
     rows of the table.  The pieces run in blocks (of at least one piece)
@@ -189,20 +195,30 @@ def _piece_sums(table, ball, m: int, per_node: int, integrand, nballs: int) -> n
     return np.bincount(ball, weights=sums, minlength=nballs)
 
 
-def _measured(rule, ceiling: int, balls: tuple, todo: np.ndarray) -> np.ndarray:
-    """Per ball, rule(m) at m = 32, 64, ... nodes per piece, doubled until two
-    successive values agree to 1e-10 relative; returns the finer of the two.
+def _measured(cuts, params, parts, ceiling: int, balls, scalar: bool):
+    """The one driver of every ball batch: per ball, the sum over the pieces
+    between its ``cuts`` (made by ``_pieces`` with ``params``) of the rules
+    at m = 32, 64, ... <= ``ceiling`` nodes per piece, doubled until two
+    successive values agree to 1e-10 relative; the finer one is returned.
 
-    rule(m, todo) gives the values with m nodes per piece for the balls in
-    the mask ``todo`` and 0 for the others; each pass evaluates only the
-    balls not yet converged.  Balls outside the first ``todo`` are 0.
-    BallNotConvergedError names the first ball, and its last two values,
-    whose next doubling would pass ``ceiling`` first.
+    parts: (integrand, per_node, ball_mask), each summed by ``_piece_sums``
+    over the pieces of the balls in its mask, and dropped if that has none.
+    Each pass runs only the balls not yet converged; a ball with no pieces is
+    0.  Returns a float if ``scalar``, else one value per ball.
+    BallNotConvergedError names the first unresolved ball of ``balls`` (az,
+    aw, rho), its last two values and the node count of its last rule.
     """
-    out = np.zeros(todo.size)
+    table, ball = _pieces(cuts, params)
+    parts = [(integrand, per_node, on[ball]) for integrand, per_node, on in parts]  # masks of pieces
+    parts = [part for part in parts if np.count_nonzero(part[2])]
+    nballs = len(cuts)
+    todo = np.bincount(ball, minlength=nballs) > 0
+    out = np.zeros(nballs)
     m, prev, values = _FIRST_NODES, None, None
     while m <= ceiling and np.count_nonzero(todo):
-        prev, values = values, rule(m, todo)
+        run = todo[ball]
+        prev, values = values, sum(_piece_sums(table[run & on], ball[run & on], m, per_node, integrand, nballs)
+                                   for integrand, per_node, on in parts)
         if prev is not None:
             done = todo & (np.abs(values - prev) <= _AGREE_REL * np.abs(values))
             out[done] = values[done]
@@ -213,10 +229,10 @@ def _measured(rule, ceiling: int, balls: tuple, todo: np.ndarray) -> np.ndarray:
         az, aw, rho = (float(x[i]) for x in balls)
         last = [float(v[i]) for v in (prev, values) if v is not None]
         raise BallNotConvergedError(
-            f"boundary ball (az={az!r}, aw={aw!r}, rho={rho!r}) not converged within {ceiling} nodes "
+            f"boundary ball (az={az!r}, aw={aw!r}, rho={rho!r}) not converged within {m // 2} nodes "
             f"per piece: last values {last!r}"
         )
-    return out
+    return float(out[0]) if scalar else out
 
 
 def _arccos_from_ends(u, v):
@@ -326,8 +342,6 @@ def _cone_ball(az, aw, rho, r_hi, n: int):
     lo, hi = np.maximum(cuts[:, 3:4], 0.0), cuts[:, 7:8]
     np.minimum(hi, r_hi[:, None], out=hi)
     np.maximum(hi, lo, out=hi)
-    if not np.count_nonzero(hi > lo):
-        return 0.0 if scalar else np.zeros(az.size)
     np.minimum(np.maximum(cuts, lo, out=cuts), hi, out=cuts)
 
     closed = np.minimum(az, aw) < 1e-300  # the closed-form branch, _cone_h_closed
@@ -340,18 +354,8 @@ def _cone_ball(az, aw, rho, r_hi, n: int):
     params[:, 10] = aw
     np.divide(-az, aw_div, out=params[:, 11])
     np.divide(0.5, aw_div, out=params[:, 12])
-    table, ball = _pieces(cuts, params)
-    groups = [(_cone_h, table, ball)]
-    if np.count_nonzero(closed):
-        groups = [(h, table[mask], ball[mask]) for h, mask in ((_cone_h, ~closed[ball]), (_cone_h_closed, closed[ball]))
-                  if np.count_nonzero(mask)]
-
-    def rule(m, todo):
-        return sum(_piece_sums(rows[todo[ids]], ids[todo[ids]], m, 16, functools.partial(_cone_r2h, h=h), az.size)
-                   for h, rows, ids in groups)
-
-    out = _measured(rule, n, (az, aw, rho), np.bincount(ball, minlength=az.size) > 0)
-    return float(out[0]) if scalar else out
+    parts = [(functools.partial(_cone_r2h, h=h), 16, on) for h, on in ((_cone_h, ~closed), (_cone_h_closed, closed))]
+    return _measured(cuts, params, parts, n, (az, aw, rho), scalar)
 
 
 def _segment(x: np.ndarray) -> np.ndarray:
@@ -403,8 +407,6 @@ def _cyl_ball(az, aw, rho, n: int):
     (az, aw, rho), scalar = _balls(az, aw, rho)
     base = (rho - np.abs(1.0 - aw)) * (rho + np.abs(1.0 - aw))  # squared fiber radius at beta = 0
     live = base > 0.0
-    if not np.count_nonzero(live):
-        return 0.0 if scalar else np.zeros(az.size)
     params = np.empty((az.size, 3))
     params[:, 0], params[:, 2] = base, az
     four_aw = np.multiply(4.0, aw, out=params[:, 1])
@@ -421,17 +423,12 @@ def _cyl_ball(az, aw, rho, n: int):
     turns = 2.0 * np.arcsin(np.sqrt(np.where((0.0 < q[:, 1:]) & (q[:, 1:] < 1.0), q[:, 1:], np.nan)))
     cuts[:, 2:] = np.where(turns <= halfw[:, None], turns, np.nan)
     cuts[~live] = np.nan  # an empty ball has no pieces
-    table, ball = _pieces(cuts, params)
 
     def integrand(beta, rows):
         radii = np.sqrt(np.maximum(rows[:, 2:3] - rows[:, 3:4] * np.sin(0.5 * beta) ** 2, 0.0))
         return 2.0 * _lens_area(1.0, radii, np.repeat(rows[:, 4:5], radii.shape[1], axis=1))  # even in beta
 
-    def rule(m, todo):
-        return _piece_sums(table[todo[ball]], ball[todo[ball]], m, 8, integrand, az.size)
-
-    out = _measured(rule, n, (az, aw, rho), live)
-    return float(out[0]) if scalar else out
+    return _measured(cuts, params, [(integrand, 8, live)], n, (az, aw, rho), scalar)
 
 
 def _moduli(p):

@@ -384,32 +384,21 @@ def run_dbar(params: RunParams) -> list[CheckRow]:
     # where Mn = int_0^1 S'(x)^n (1+x)^3 dx, S' = 30 x^2 (1-x)^2, integrates exactly as a polynomial
     m2, m4 = 765.0 / 154.0, 587250.0 / 46189.0
     cs_ref = m2 / (2.0 * np.sqrt(m4))  # lhs/rhs for f = 1
-    cs = []
-    first = []
-    lhs_by = {name: [] for name in fields}
-    flags_by = {name: [] for name in fields}
-    for delta in deltas:
-        for name, f in fields.items():
-            rep = dbar.cutoff_commutator_check(f, delta, spec)
-            lhs_by[name].append(rep.lhs)
-            flags_by[name].append(rep.l4_diverges)
-            if name == "one":
-                cs.append(abs(rep.lhs / rep.rhs / cs_ref - 1.0))
-                first.append(rep.first_factor)
-            elif not rep.lhs <= rep.rhs:  # NaN-safe
-                cs.append(np.inf)
+    one, winv = zip(*[[dbar.cutoff_commutator_check(f, delta, spec) for f in fields.values()] for delta in deltas])
+    cs = [abs(rep.lhs / rep.rhs / cs_ref - 1.0) for rep in one]
+    cs += [0.0 if rep.lhs <= rep.rhs else np.inf for rep in winv]  # NaN-safe
     rows.append(_row("dbar.cutoff.cs", {"deltas": "2^-2..2^-8", "fields": sorted(fields)}, np.max(cs)))
     first_ref = np.pi / 4.0 * np.sqrt(m4)
     rows.append(_row("dbar.cutoff.firstfactor", {"deltas": "2^-2..2^-8"},
-                     np.max([abs(v / first_ref - 1.0) for v in first])))
+                     np.max([abs(rep.first_factor / first_ref - 1.0) for rep in one])))
     smooth_ref = np.pi**2 / 4.0 * m2
     rows.append(_row("dbar.cutoff.decay.smooth", {"deltas": "2^-2..2^-8"},
-                     np.max([abs(v / (smooth_ref * d * d) - 1.0) for v, d in zip(lhs_by["one"], deltas)])))
+                     np.max([abs(rep.lhs / (smooth_ref * d * d) - 1.0) for rep, d in zip(one, deltas)])))
     # closed form: 4 pi^2 * (1/4) int_0^1 S'(x)^2 (1+x) dx * int_{pi/4}^{pi/2} cot = 4 pi^2 (15/28) (ln 2)/2
     border = 15.0 * np.pi**2 * np.log(2.0) / 14.0
-    border_err = np.max([abs(v / border - 1.0) for v in lhs_by["winv"]])
+    border_err = np.max([abs(rep.lhs / border - 1.0) for rep in winv])
     # the claim's other half: |1/w|^4 diverges, |1|^4 not; a probe that cannot tell (None) fails too
-    if flags_by["winv"] != [True] * len(deltas) or flags_by["one"] != [False] * len(deltas):
+    if [rep.l4_diverges for rep in winv + one] != [True] * len(deltas) + [False] * len(deltas):
         border_err = np.inf
     rows.append(_row("dbar.cutoff.borderline", {"deltas": "2^-2..2^-8"}, border_err))
     return rows

@@ -94,7 +94,9 @@ class QuadratureSpec:
     surface_cells: ceiling on the nodes per piece of the boundary-ball rules.
         Each ball measures its own node count, doubling from 32 until two
         rules agree (see :mod:`hartogs.boundary`); at least 64, so that one
-        doubling fits.
+        doubling fits.  A rule uses 32 * 2^k nodes, so the largest that runs
+        is the largest such count at or below the ceiling: 512 under both
+        this default, 768, and the 512 of :class:`hartogs.checks.RunParams`.
     shell_level: theta nodes of the cutoff shell, max(16, shell_level // 3)
         Gauss nodes (each angle 12 nodes), and nothing else.  The shell's
         t-rule is fixed (see :func:`hartogs.dbar.cutoff_commutator_check`),

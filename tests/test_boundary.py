@@ -323,8 +323,59 @@ def test_ceiling_too_small_raises():
     assert type(err.value) is ValueError
     assert _cone_ball(az, aw, rho, SQ2, 768) == value
     for rule in (lambda n: _cone_ball(0.3, 1.0, 1.0, SQ2, n), lambda n: _cyl_ball(0.3, 1.0, 1.0, n)):
-        with pytest.raises(ValueError, match=r"az=0\.3, aw=1\.0, rho=1\.0"):
+        with pytest.raises(ValueError, match=r"az=0\.3, aw=1\.0, rho=1\.0\) not converged within 32 nodes"):
             rule(63)  # below one doubling from 32
+
+
+def test_unconverged_ball_names_its_last_rule(monkeypatch):
+    # rules use 32 * 2^k nodes, so under a ceiling of 768 the last one that runs has 512
+    monkeypatch.setattr(boundary, "_AGREE_REL", 0.0)
+    for rule in (lambda n: _cone_ball(0.3, 1.0, 1.0, SQ2, n), lambda n: _cyl_ball(0.3, 1.0, 1.0, n)):
+        with pytest.raises(boundary.BallNotConvergedError, match="within 512 nodes per piece: last values "):
+            rule(768)
+
+
+def _is_float(x):
+    return type(x) is float
+
+
+def _is_batch(x, n):
+    return type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (n,)
+
+
+def test_numbers_give_a_float_and_arrays_one_value_per_ball():
+    az, aw, rho = np.array([0.0, 0.3, 0.5, 3.0]), np.array([0.0, 0.3, 1.0, 3.0]), np.array([1.0, 0.5, 0.2, 0.5])
+    assert _is_float(_cone_ball(0.3, 0.3, 0.5, SQ2, 768)) and _is_float(_cone_ball(0, 0, 1, None, 768))
+    assert _is_float(_cyl_ball(0.5, 1.0, 0.3, 768)) and _is_float(_cyl_ball(np.float64(0.5), 1, 0.3, 768))
+    assert _is_batch(_cone_ball(az, aw, rho, SQ2, 768), 4) and _is_batch(_cyl_ball(az, aw, rho, 768), 4)
+    assert _is_batch(_cone_ball(az[:1], 0.0, 1.0, None, 768), 1)
+    # empty balls: a number gives the float 0.0, an all-empty batch zeros
+    for empty in (_cone_ball(3.0, 3.0, 0.5, SQ2, 768), _cyl_ball(0.3, 0.1, 0.01, 768)):
+        assert _is_float(empty) and empty == 0.0
+    far = np.array([3.0, 4.0, 5.0])
+    for batch in (_cone_ball(far, far, 0.5, SQ2, 768), _cyl_ball(np.full(3, 0.3), 0.1, far / 500.0, 768)):
+        assert _is_batch(batch, 3) and np.all(batch == 0.0)
+    assert _is_float(f_profile(0.4, SPEC)) and _is_float(f_profile(np.float64(0.0), SPEC))
+    assert _is_batch(f_profile(np.array([0.0, 0.4, 50.0]), SPEC), 3)
+    p, cyl = cone_point(0.6, 0.2, -1.0), PolarPoint(0.4, 0.3, 1.0, 0.1)
+    for fn in (sigma_ball_Tinf, sigma_ball_Tinf_direct):
+        assert _is_float(fn(p, 0.3, SPEC)) and _is_batch(fn([p, cone_point(0.2)], [0.3, 0.1], SPEC), 2)
+    assert _is_float(sigma_ball_bT(p, 0.05, SPEC)) and _is_float(sigma_ball_bT(cyl, 0.3, SPEC))
+    assert _is_batch(sigma_ball_bT([p, cyl, p], 0.3, SPEC), 3)
+
+
+def test_parts_without_pieces_make_no_pass(monkeypatch):
+    # one _piece_sums call per pass for each part with pieces: the closed-form part runs only
+    # for a batch holding a nonempty apex or axis ball
+    calls = []
+    original = boundary._piece_sums
+    monkeypatch.setattr(boundary, "_piece_sums", lambda *a: calls.append(a[4].keywords["h"].__name__) or original(*a))
+    for az, aw, parts in (([0.3, 0.5], [0.3, 0.5], ["_cone_h"]),
+                          ([0.3, 0.0], [0.3, 0.0], ["_cone_h", "_cone_h_closed"]),
+                          ([0.3, 3.0], [0.3, 0.0], ["_cone_h"])):  # the axis ball (3, 0) is empty
+        calls.clear()
+        _cone_ball(np.array(az), np.array(aw), 0.5, SQ2, 768)
+        assert calls == parts * 2  # every ball converges at the second pass
 
 
 def test_cone_ball_memory_stays_blocked():
