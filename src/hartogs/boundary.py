@@ -17,9 +17,10 @@ arccos.  The measure of a boundary ball is therefore a 2D integral over
 invariance in z and w the result depends on the center only through
 (az, aw).
 
-Rules.  Every integral below is a Gauss rule on pieces whose ends are the
-integrand's kinks, each piece mapped by x = (1 - cos phi)/2 with phi Gauss
-on (0, pi); the map absorbs the square-root edges at the piece ends.
+Rules.  Every integral below is a quadrature rule on pieces whose ends are
+the integrand's kinks, each piece mapped by x = (1 - cos phi)/2 with phi the
+rule's nodes on (0, pi); the map absorbs the square-root edges at the piece
+ends.
 
 * alpha: the integrand is even, so integrate over (0, pi) and double.  With
   k(r) = (r^2 + R^2 - rho^2)/(sqrt(2) r) the beta-fiber is the full circle
@@ -46,14 +47,17 @@ and the lens area is two circular segments from atan2 and Heron's product.
 Without this, roundoff of order 1e-9 relative kept successive rules from
 agreeing.
 
-The node count is measured, not chosen: each ball runs its rule with 32
-nodes per piece and doubles while two successive values differ by more than
-1e-10 relative, returning the finer one.  ``QuadratureSpec.surface_cells``
-is the ceiling; a ball that reaches it without agreement raises
-:class:`BallNotConvergedError`, a ValueError that names the node count of
-the ball's last rule.
-At 32 and 64 nodes the apex profile f(0) and the total sigma(bT) meet their
-closed forms to about 1e-15.
+The node count is measured, not chosen: each piece's rule is a Gauss-Kronrod
+pair (``quadrature.gauss_kronrod``), the 32-node Gauss rule inside a 65-node
+Kronrod rule, so one pass over 65 nodes gives both values.  Their difference
+is the error of the 32-node rule, and a ball whose two values agree to 1e-10
+relative returns the Kronrod value; otherwise it runs the next pair, 64 in
+129, and so on.  Pair n runs while 2n is at most
+``QuadratureSpec.surface_cells``; a ball still unresolved then raises
+:class:`BallNotConvergedError`, a ValueError that names its last pair.  The
+cone's nested alpha-rule is the same pair, so the estimate covers it too
+(``_cone_h``).  At the first pair the apex profile f(0) and the total
+sigma(bT) meet their closed forms to better than 1e-15 relative.
 
 Batches.  ``_cone_ball`` and ``_cyl_ball`` take arrays of balls (az, aw,
 rho) and return one value per ball; a call with numbers is a batch of one
@@ -65,9 +69,9 @@ every batch.  Each ball's breakpoints are sorted row-wise, repeated and
 absent ones give no piece, and the surviving pieces of all balls form one
 table with a ball id per piece, so no ball is padded to the widest one;
 per-ball values are sums by ball id, and a ball with no pieces is 0.  Each
-array pass evaluates one node count, one ``_piece_sums`` call per part that
-has pieces, and after the first only for the balls, under a mask, whose last
-two values still disagree.  Pieces run in blocks, and the cone's (r-node x
+array pass evaluates one pair, one ``_piece_sums`` call per part that has
+pieces, and after the first only for the balls, under a mask, whose pair
+still disagreed.  Pieces run in blocks, and the cone's (r-node x
 alpha-node) work array in blocks of ``_BLOCK_CELLS`` values, so memory does
 not grow with the batch.  The public functions accept a sequence of points
 for one such batch, and ``adr_scan`` evaluates every (center, radius) pair
@@ -94,7 +98,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .points import PolarPoint
-from .quadrature import QuadratureSpec, gauss_legendre
+from .quadrature import QuadratureSpec, gauss_kronrod
 
 __all__ = [
     "ADRReport",
@@ -110,8 +114,8 @@ __all__ = [
 ]
 
 _SQ2 = np.sqrt(2.0)
-_FIRST_NODES = 32  # nodes per piece of the first rule; doubled until two values agree
-_AGREE_REL = 1e-10  # relative agreement of two successive rules that ends the doubling
+_FIRST_NODES = 32  # Gauss nodes of the first pair, in 2 * 32 + 1 Kronrod nodes per piece
+_AGREE_REL = 1e-10  # relative agreement of a pair's Gauss and Kronrod values that ends a ball
 #: Values in one block of a rule pass: the cone's (r-node x alpha-node) work
 #: array, and the node arrays of a block of pieces.  The blocks keep a pass's
 #: memory from growing with the number of balls in it.
@@ -128,12 +132,14 @@ ADR_WINDOW = (0.3, 30.0)  # frozen bounds on sigma(B_rho(p) cap bT)/rho^3
 
 
 @functools.lru_cache(maxsize=None)
-def _cosine_gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-node rule on (0, 1): x = (1 - cos phi)/2 with phi Gauss on (0, pi).
+def _cosine_kronrod(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair ``gauss_kronrod(n)`` on (0, 1): 2n + 1 nodes x = (1 - cos phi)/2
+    with phi the pair's nodes on (0, pi), and their weights as two rows, the
+    Kronrod rule's and the n-node Gauss rule's (0 at the added nodes).
 
-    Read-only arrays shared between callers, like ``gauss_legendre``'s.
+    Read-only arrays shared between callers, like ``gauss_kronrod``'s.
     """
-    t, w = gauss_legendre(n)
+    t, w = gauss_kronrod(n)
     phi = 0.5 * np.pi * (t + 1.0)
     x = 0.5 * (1.0 - np.cos(phi))
     wx = (0.25 * np.pi) * w * np.sin(phi)
@@ -176,61 +182,80 @@ def _pieces(cuts: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return table, ball
 
 
-def _piece_sums(table, ball, m: int, per_node: int, integrand, nballs: int) -> np.ndarray:
-    """Per-ball sums of one part's cosine-mapped rule with m nodes per piece
-    over the pieces of ``table`` (rows as made by ``_pieces``); one pass of
-    ``_measured``.
+def _piece_sums(table, ball, n: int, per_node: int, integrand, nballs: int) -> np.ndarray:
+    """Per-ball Kronrod and Gauss sums, as a (2, nballs) array, of one part's
+    cosine-mapped pair n (``_cosine_kronrod``) over the pieces of ``table``
+    (rows as made by ``_pieces``); one pass of ``_measured``.
 
-    integrand(nodes, rows) is the integrand at the (pieces, m) nodes of those
-    rows of the table.  The pieces run in blocks (of at least one piece)
-    whose work arrays, about ``per_node`` values for each node, hold at most
+    integrand(nodes, rows) is the integrand at the (pieces, 2n + 1) nodes of
+    those rows of the table: one value per node, which both rules read, or a
+    leading (Kronrod, Gauss) axis of two values when the integrand holds a
+    nested rule of its own (``_cone_h``).  Each rule is a matrix-vector
+    product.  The pieces run in blocks (of at least one piece) whose work
+    arrays, about ``per_node`` values for each node, hold at most
     ``_BLOCK_CELLS`` values.
     """
-    x, wx = _cosine_gauss(m)
-    sums = np.empty(len(table))
-    step = max(1, _BLOCK_CELLS // (per_node * m))
+    x, wx = _cosine_kronrod(n)
+    sums = np.empty((2, len(table)))
+    step = max(1, _BLOCK_CELLS // (per_node * x.size))
     for k in range(0, len(table), step):
         rows = table[k:k + step]
-        sums[k:k + step] = (integrand(rows[:, :1] + rows[:, 1:2] * x, rows) @ wx) * rows[:, 1]
-    return np.bincount(ball, weights=sums, minlength=nballs)
+        values = integrand(rows[:, :1] + rows[:, 1:2] * x, rows)
+        if values.ndim == 2:
+            values = values, values
+        for rule in range(2):
+            sums[rule, k:k + step] = (values[rule] @ wx[rule]) * rows[:, 1]
+    return np.array([np.bincount(ball, weights=rule, minlength=nballs) for rule in sums])
+
+
+def _check_ceiling(ceiling: int) -> None:
+    """ValueError unless a node ceiling per piece admits the first pair, that
+    is, unless it is at least 2 * 32."""
+    if 2 * _FIRST_NODES > ceiling:
+        raise ValueError(f"a node ceiling of {ceiling} per piece admits no Gauss-Kronrod pair: the first, "
+                         f"{_FIRST_NODES} Gauss nodes in {2 * _FIRST_NODES + 1}, needs a ceiling of at least "
+                         f"{2 * _FIRST_NODES}")
 
 
 def _measured(cuts, params, parts, ceiling: int, balls, scalar: bool):
     """The one driver of every ball batch: per ball, the sum over the pieces
-    between its ``cuts`` (made by ``_pieces`` with ``params``) of the rules
-    at m = 32, 64, ... <= ``ceiling`` nodes per piece, doubled until two
-    successive values agree to 1e-10 relative; the finer one is returned.
+    between its ``cuts`` (made by ``_pieces`` with ``params``) of the
+    Gauss-Kronrod pairs n = 32, 64, ... with 2n <= ``ceiling``: the first
+    pair whose n-node Gauss value agrees with its (2n + 1)-node Kronrod value
+    to 1e-10 relative ends the ball, and the Kronrod value is returned.  The
+    difference estimates the error of the n-node Gauss rule, and the Kronrod
+    value is the more accurate of the two.
 
     parts: (integrand, per_node, ball_mask), each summed by ``_piece_sums``
     over the pieces of the balls in its mask, and dropped if that has none.
-    Each pass runs only the balls not yet converged; a ball with no pieces is
-    0.  Returns a float if ``scalar``, else one value per ball.
+    Each pass runs one pair over the balls not yet converged; a ball with no
+    pieces is 0.  Returns a float if ``scalar``, else one value per ball.
+    ValueError if the ceiling is below 2 * 32, which admits no pair;
     BallNotConvergedError names the first unresolved ball of ``balls`` (az,
-    aw, rho), its last two values and the node count of its last rule.
+    aw, rho), the node counts of its last pair and that pair's two values.
     """
+    _check_ceiling(ceiling)
     table, ball = _pieces(cuts, params)
     parts = [(integrand, per_node, on[ball]) for integrand, per_node, on in parts]  # masks of pieces
     parts = [part for part in parts if np.count_nonzero(part[2])]
     nballs = len(cuts)
     todo = np.bincount(ball, minlength=nballs) > 0
     out = np.zeros(nballs)
-    m, prev, values = _FIRST_NODES, None, None
-    while m <= ceiling and np.count_nonzero(todo):
+    n = _FIRST_NODES
+    while 2 * n <= ceiling and np.count_nonzero(todo):
         run = todo[ball]
-        prev, values = values, sum(_piece_sums(table[run & on], ball[run & on], m, per_node, integrand, nballs)
-                                   for integrand, per_node, on in parts)
-        if prev is not None:
-            done = todo & (np.abs(values - prev) <= _AGREE_REL * np.abs(values))
-            out[done] = values[done]
-            todo = todo & ~done
-        m *= 2
+        kronrod, gauss = sum(_piece_sums(table[run & on], ball[run & on], n, per_node, integrand, nballs)
+                             for integrand, per_node, on in parts)
+        done = todo & (np.abs(kronrod - gauss) <= _AGREE_REL * np.abs(kronrod))
+        out[done] = kronrod[done]
+        todo &= ~done
+        n *= 2
     if np.count_nonzero(todo):
         i = int(np.flatnonzero(todo)[0])
         az, aw, rho = (float(x[i]) for x in balls)
-        last = [float(v[i]) for v in (prev, values) if v is not None]
         raise BallNotConvergedError(
-            f"boundary ball (az={az!r}, aw={aw!r}, rho={rho!r}) not converged within {m // 2} nodes "
-            f"per piece: last values {last!r}"
+            f"boundary ball (az={az!r}, aw={aw!r}, rho={rho!r}) not converged by the Gauss-Kronrod pair of "
+            f"{n // 2} and {n + 1} nodes per piece: Gauss and Kronrod values {[float(gauss[i]), float(kronrod[i])]!r}"
         )
     return float(out[0]) if scalar else out
 
@@ -250,8 +275,13 @@ _S1, _S2 = np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0])
 
 def _cone_h(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Half-range alpha integral h(r) of the beta-fiber length 2 arccos((k - az
-    cos alpha)/aw) at the (pieces, m) r-nodes, by the m-node rule on the
-    window (a2, a1).
+    cos alpha)/aw) at the (pieces, m) r-nodes of a Gauss-Kronrod pair (m =
+    2n + 1 for pair n), by the same pair on the window (a2, a1): one (r-node
+    x alpha-node) work array, reduced by the pair's two weight rows, gives
+    h_K and h_G, stacked on a leading axis.  The outer Gauss rule reads h_G
+    only at its own n r-nodes, so the Gauss value is the plain n x n tensor
+    rule and the pair's difference covers the alpha-rule's error as well as
+    the r-rule's.
 
     t[..., s] = k + s1 az + s2 aw for (s1, s2) = (1, 1), (1, -1), (-1, 1),
     (-1, -1); rows: the pieces' rows of the cone table.
@@ -266,10 +296,10 @@ def _cone_h(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
     # for short arcs, and for arcs near pi its absolute error is harmless
     # one row per r-node: the half-angle window and the terms of u/2
     m, n = t.shape[1], a2.size
-    x, wx = _cosine_gauss(m)
+    x, wx = _cosine_kronrod(m // 2)
     start, width = (0.5 * a2).reshape(n), (0.5 * window).reshape(n)
     ratio, offset = np.repeat(rows[:, _RATIO], m), (rows[:, _HALF, None] * t[..., 3]).reshape(n)
-    half_fiber = np.empty(n)
+    half_fiber = np.empty((2, n))
     step = max(1, _BLOCK_CELLS // m)  # rows per block of the (r-node x alpha-node) work array
     work, denominator = np.empty((2, min(step, n), m))  # reused by every block
     for k in range(0, n, step):
@@ -288,8 +318,9 @@ def _cone_h(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
         np.maximum(q, 0.0, out=q)
         np.minimum(q, 1.0, out=q)
         np.sqrt(q, out=q)
-        half_fiber[block] = np.arcsin(q, out=q) @ wx
-    return 2.0 * np.pi * a2 + 4.0 * window * half_fiber.reshape(a2.shape)
+        np.arcsin(q, out=q)
+        half_fiber[0, block], half_fiber[1, block] = q @ wx[0], q @ wx[1]
+    return 2.0 * np.pi * a2 + 4.0 * window * half_fiber.reshape(2, *a2.shape)
 
 
 def _cone_h_closed(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -304,8 +335,9 @@ def _cone_h_closed(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _cone_r2h(r: np.ndarray, rows: np.ndarray, h) -> np.ndarray:
     """The cone integrand r^2 h(r) (the Jacobian r^2/2 times 2 h, alpha over
-    (-pi, pi)) at the (pieces, m) nodes r of those rows of the cone table,
-    with h = _cone_h or _cone_h_closed."""
+    (-pi, pi)) at the (pieces, 2n + 1) nodes r of those rows of the cone
+    table, with h = _cone_h (Kronrod and Gauss values on a leading axis) or
+    _cone_h_closed (one value per node)."""
     # t = k + s1 az + s2 aw = ((r + e)^2 + f^2 - rho^2)/(sqrt2 r), which loses no digits
     # away from its root
     re = r[..., None] + rows[:, None, 2:6]
@@ -402,11 +434,16 @@ def _cyl_ball(az, aw, rho, n: int):
 
     az, aw, rho as for ``_cone_ball``.  n: ceiling on the measured node count
     per piece.  beta runs over (0, halfw), doubled; the squared fiber radius
-    rho^2 - |e^{i beta} - aw|^2 is base - 4 aw sin^2(beta/2).
+    rho^2 - |e^{i beta} - aw|^2 is base - 4 aw sin^2(beta/2).  A batch whose
+    balls all miss the cylinder (base <= 0) is 0 before any breakpoint is set
+    up; its ceiling is checked all the same.
     """
     (az, aw, rho), scalar = _balls(az, aw, rho)
     base = (rho - np.abs(1.0 - aw)) * (rho + np.abs(1.0 - aw))  # squared fiber radius at beta = 0
     live = base > 0.0
+    if not np.count_nonzero(live):
+        _check_ceiling(n)
+        return 0.0 if scalar else np.zeros(az.size)
     params = np.empty((az.size, 3))
     params[:, 0], params[:, 2] = base, az
     four_aw = np.multiply(4.0, aw, out=params[:, 1])

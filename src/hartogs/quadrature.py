@@ -57,6 +57,7 @@ from .points import PolarPoint
 __all__ = [
     "QuadratureSpec",
     "NonFiniteIntegrandError",
+    "gauss_kronrod",
     "gauss_legendre",
     "integrate_T",
     "sample_T",
@@ -92,11 +93,13 @@ class QuadratureSpec:
 
     level: per-axis node count of the tensor rule on T.
     surface_cells: ceiling on the nodes per piece of the boundary-ball rules.
-        Each ball measures its own node count, doubling from 32 until two
-        rules agree (see :mod:`hartogs.boundary`); at least 64, so that one
-        doubling fits.  A rule uses 32 * 2^k nodes, so the largest that runs
-        is the largest such count at or below the ceiling: 512 under both
-        this default, 768, and the 512 of :class:`hartogs.checks.RunParams`.
+        Each ball runs Gauss-Kronrod pairs, n Gauss nodes inside 2n + 1
+        Kronrod nodes for n = 32, 64, ..., until a pair's two values agree
+        (see :mod:`hartogs.boundary`).  Pair n runs while 2n is at most the
+        ceiling, the count of the Gauss rule that would check its n-node
+        rule by doubling; so at least 64, for the first pair.  The last pair
+        that runs has 256 and 513 nodes under both this default, 768, and
+        the 512 of :class:`hartogs.checks.RunParams`.
     shell_level: theta nodes of the cutoff shell, max(16, shell_level // 3)
         Gauss nodes (each angle 12 nodes), and nothing else.  The shell's
         t-rule is fixed (see :func:`hartogs.dbar.cutoff_commutator_check`),
@@ -141,6 +144,62 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 1:
         raise ValueError("node count must be >= 1")
     nodes, weights = np.polynomial.legendre.leggauss(int(n))
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_kronrod(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule inside its (2n + 1)-node Kronrod
+    extension on [-1, 1].
+
+    Returns the 2n + 1 nodes, strictly increasing and symmetric about 0, and
+    their weights as two rows: the Kronrod rule's, positive and exact through
+    degree 3n + 1, and the Gauss rule's, 0 at the n + 1 added nodes.
+    The Gauss nodes are ``nodes[1::2]``; they and their weights are
+    ``gauss_legendre(n)``'s, bit for bit.  Built once per node count, on
+    first use; the arrays are shared between callers and therefore read-only.
+
+    Laurie's algorithm (Math. Comp. 66, 1997) gives the Jacobi-Kronrod
+    matrix, whose diagonal is 0 for the symmetric Legendre weight; each inner
+    loop of its mixed-moment recurrence is a cumulative sum over entries of
+    the previous step.  The added nodes are that matrix's eigenvalues, and
+    each Kronrod weight is the Christoffel number 1 / sum_k p_k(x)^2 of the
+    matrix's orthonormal polynomials (p_0 = 1/sqrt 2), so no eigenvector is
+    formed.
+    """
+    gauss, gauss_weights = gauss_legendre(n)
+    # b[k]: squared off-diagonal entries; b[1 .. (3n + 1) // 2] are Legendre's k^2/(4k^2 - 1)
+    k = np.arange((3 * n + 1) // 2 + 1, dtype=float)
+    b = np.zeros(2 * n + 1)
+    b[1:k.size] = k[1:] ** 2 / (4.0 * k[1:] ** 2 - 1.0)
+    s, t = np.zeros(n // 2 + 3), np.zeros(n // 2 + 3)  # mixed moments of two steps, offset by one
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        top = (m + 1) // 2  # k = top, ..., 0 and l = m - k
+        s[top + 1:0:-1] = np.cumsum(b[n + 1 + top:n:-1] * s[top::-1] - b[m - top:m + 1] * s[top + 1:0:-1])
+        s, t = t, s
+    s[1:] = s[:-1].copy()  # the second phase indexes the moments one place further on
+    for m in range(n - 1, 2 * n - 2):
+        top = (m - 1) // 2 - (m + 1 - n)  # j = 0, ..., top for k = m + 1 - n + j and l = n - 1 - j
+        s[1:top + 2] = np.cumsum(b[n - 1:n - 2 - top:-1] * s[2:top + 3] - b[m + 2:m + 3 + top] * s[1:top + 2])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[top + 1] / s[top + 2]
+        s, t = t, s
+    nodes = np.linalg.eigvalsh(np.diag(np.sqrt(b[1:]), -1))
+    nodes = 0.5 * (nodes - nodes[::-1])
+    nodes[1::2] = gauss  # the added nodes interlace the Gauss nodes, so these are every second one
+    # Christoffel numbers from the three-term recurrence of the orthonormal polynomials
+    root = np.sqrt(b)
+    prev, p = np.zeros(nodes.size), np.full(nodes.size, 1.0 / np.sqrt(2.0))
+    total = p * p
+    for j in range(1, 2 * n + 1):
+        prev, p = p, (nodes * p - root[j - 1] * prev) / root[j]
+        total += p * p
+    weights = np.zeros((2, nodes.size))
+    weights[0] = 1.0 / total
+    weights[1, 1::2] = gauss_weights
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

@@ -224,7 +224,7 @@ def test_cone_ball_matches_unfolded_sum(n, unfolded_768):
             assert got == 0.0
         else:
             assert got == pytest.approx(ref, rel=5e-5, abs=0.0), (az, aw, rho, r_hi)
-        assert got == _cone_ball(az, aw, rho, r_hi, 768)  # every kernel ball converges by 64 nodes
+        assert got == _cone_ball(az, aw, rho, r_hi, 768)  # every kernel ball converges at the first pair
 
 
 def test_closed_forms():
@@ -305,9 +305,9 @@ def test_cyl_ball_matches_midpoint_sum():
         assert ref > 0.0 and got == pytest.approx(ref, rel=1e-6, abs=0.0), (az, aw, rho)
 
 
-# cone parts of cylinder-centred balls near the axis whose 32- and 64-node values differ by
-# 8.6e-10 relative and their 64- and 128-node values by 3e-12, so that they need 128 nodes where the
-# kernel balls stop at 64
+# cone parts of cylinder-centred balls near the axis whose 32-node Gauss value differs from its 65-node
+# Kronrod value by 8.6e-10 relative, and the 64-node one from its 129-node one by 3e-12, so that they
+# need the second pair (a ceiling of 128) where the kernel balls stop at the first
 SLOW_BALLS = [(0.0002559646930663882, 1.0, 0.9364237739945253), (0.00023207320868730928, 1.0, 0.9164105679102298)]
 
 
@@ -316,22 +316,25 @@ def test_ceiling_too_small_raises():
     value = _cone_ball(az, aw, rho, SQ2, 128)
     with pytest.raises(boundary.BallNotConvergedError, match=f"az={az!r}, aw={aw!r}, rho={rho!r}") as err:
         _cone_ball(az, aw, rho, SQ2, 64)
-    assert "64 nodes" in str(err.value) and isinstance(err.value, ValueError)
+    assert "pair of 32 and 65 nodes per piece" in str(err.value) and isinstance(err.value, ValueError)
     # invalid input is a plain ValueError, which callers do not take for an unresolved ball
     with pytest.raises(ValueError) as err:
         _cone_ball(np.nan, aw, rho, SQ2, 768)
     assert type(err.value) is ValueError
     assert _cone_ball(az, aw, rho, SQ2, 768) == value
-    for rule in (lambda n: _cone_ball(0.3, 1.0, 1.0, SQ2, n), lambda n: _cyl_ball(0.3, 1.0, 1.0, n)):
-        with pytest.raises(ValueError, match=r"az=0\.3, aw=1\.0, rho=1\.0\) not converged within 32 nodes"):
-            rule(63)  # below one doubling from 32
+    for rule in (lambda n: _cone_ball(0.3, 1.0, 1.0, SQ2, n), lambda n: _cyl_ball(0.3, 1.0, 1.0, n),
+                 lambda n: _cyl_ball(0.3, 0.3, 0.1, n)):  # the last misses the cylinder
+        with pytest.raises(ValueError, match="node ceiling of 63 per piece admits no Gauss-Kronrod pair") as err:
+            rule(63)  # the first pair replaces the 64-node rule, so it needs a ceiling of 64
+        assert type(err.value) is ValueError
 
 
 def test_unconverged_ball_names_its_last_rule(monkeypatch):
-    # rules use 32 * 2^k nodes, so under a ceiling of 768 the last one that runs has 512
+    # pair n runs while 2n is at most the ceiling, so under 768 the last pair has 256 and 513 nodes
     monkeypatch.setattr(boundary, "_AGREE_REL", 0.0)
     for rule in (lambda n: _cone_ball(0.3, 1.0, 1.0, SQ2, n), lambda n: _cyl_ball(0.3, 1.0, 1.0, n)):
-        with pytest.raises(boundary.BallNotConvergedError, match="within 512 nodes per piece: last values "):
+        with pytest.raises(boundary.BallNotConvergedError,
+                           match="pair of 256 and 513 nodes per piece: Gauss and Kronrod values "):
             rule(768)
 
 
@@ -366,7 +369,8 @@ def test_numbers_give_a_float_and_arrays_one_value_per_ball():
 
 def test_parts_without_pieces_make_no_pass(monkeypatch):
     # one _piece_sums call per pass for each part with pieces: the closed-form part runs only
-    # for a batch holding a nonempty apex or axis ball
+    # for a batch holding a nonempty apex or axis ball, and a batch that converges at its first
+    # pair makes one pass
     calls = []
     original = boundary._piece_sums
     monkeypatch.setattr(boundary, "_piece_sums", lambda *a: calls.append(a[4].keywords["h"].__name__) or original(*a))
@@ -375,7 +379,22 @@ def test_parts_without_pieces_make_no_pass(monkeypatch):
                           ([0.3, 3.0], [0.3, 0.0], ["_cone_h"])):  # the axis ball (3, 0) is empty
         calls.clear()
         _cone_ball(np.array(az), np.array(aw), 0.5, SQ2, 768)
-        assert calls == parts * 2  # every ball converges at the second pass
+        assert calls == parts  # every ball converges at the first pair
+
+
+def test_batches_missing_the_cylinder_make_no_pass(monkeypatch):
+    # a batch whose balls all miss the cylinder returns before any breakpoint is set up:
+    # no pass, and not even the driver
+    calls = []
+    for name in ("_measured", "_piece_sums"):
+        original = getattr(boundary, name)
+        monkeypatch.setattr(boundary, name, lambda *a, name=name, original=original: calls.append(name) or original(*a))
+    empty = _cyl_ball(0.3, 0.3, 0.1, 768)
+    assert _is_float(empty) and empty == 0.0
+    batch = _cyl_ball(np.array([0.3, 0.9, 0.0]), np.array([0.3, 0.5, 0.0]), np.array([0.1, 0.2, 0.5]), 768)
+    assert _is_batch(batch, 3) and np.all(batch == 0.0)
+    assert calls == []
+    assert _cyl_ball(0.3, 1.0, 0.1, 768) > 0.0 and calls == ["_measured", "_piece_sums"]  # one pair
 
 
 def test_cone_ball_memory_stays_blocked():
@@ -399,9 +418,9 @@ def test_batch_matches_each_ball_alone():
     balls.insert(3, (*SLOW_BALLS[0], SQ2))
     az, aw, rho, r_hi = _columns(balls)
     for ball in balls[:3] + balls[4:]:
-        _cone_ball(*ball, 64)  # converged by 64 nodes
+        _cone_ball(*ball, 64)  # converged at the first pair
     with pytest.raises(ValueError):
-        _cone_ball(*balls[3], 64)  # the slow ball needs 128: convergence in the batch is mixed
+        _cone_ball(*balls[3], 64)  # the slow ball needs the second: convergence in the batch is mixed
     cone = _cone_ball(az, aw, rho, r_hi, 768)
     cyl = _cyl_ball(az, aw, rho, 768)
     assert cone.shape == cyl.shape == (len(balls),)
@@ -441,7 +460,7 @@ def test_unconverged_ball_in_a_batch_is_named():
     a, w, r = SLOW_BALLS[1]
     with pytest.raises(ValueError, match=f"az={a!r}, aw={w!r}, rho={r!r}") as err:
         _cone_ball(az, aw, rho, r_hi, 64)
-    assert "within 64 nodes per piece: last values [" in str(err.value)
+    assert "pair of 32 and 65 nodes per piece: Gauss and Kronrod values [" in str(err.value)
     np.testing.assert_allclose(_cone_ball(az, aw, rho, r_hi, 128), [_cone_ball(*b, 128) for b in balls],
                                rtol=1e-15, atol=0.0)
 
@@ -456,6 +475,37 @@ def test_near_tangent_cone_balls_converge():
     assert np.all(values > 0.0) and np.all(np.diff(values, axis=0) > 0.0)
     # continuous across tangency: rho at eps = +-1e-9 differ by 2e-9 relative
     np.testing.assert_allclose(values[8], values[9], rtol=1e-6, atol=0.0)
+
+
+def _oracle_balls():
+    """A seeded battery of 20,002 balls (az, aw, rho): centres on the cone and on the cylinder with
+    rho log-uniform in (0.005, 2 sqrt 2], near-tangent cone parts (as in the test above), cylinder
+    centres near the axis, and both SLOW_BALLS."""
+    rng = np.random.default_rng(31)
+    c = rng.uniform(0.0, 1.0, 6000)
+    z = np.sqrt(rng.random(10000))
+    rho = np.exp(rng.uniform(np.log(0.005), np.log(DIAM_T), 16000))
+    tangent = rng.uniform(0.05, 0.95, 2000)
+    eps = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-9.0, -1.0, 2000)
+    axis = 10.0 ** rng.uniform(-12.0, np.log10(0.3), 2000)
+    slow_az, slow_aw, slow_rho = np.array(SLOW_BALLS).T
+    az = np.concatenate([c, z, tangent, axis, slow_az])
+    aw = np.concatenate([c, np.ones(14000), slow_aw])
+    rho = np.concatenate([rho, (tangent + 1.0) / (SQ2 * (1.0 + eps)), rng.uniform(0.05, 2.5, 2000), slow_rho])
+    return az, aw, rho
+
+
+def test_returned_values_agree_with_the_next_pair(monkeypatch):
+    # the oracle for the pair's error estimate: each returned value, mostly the first pair's
+    # Kronrod value, lies within 1e-10 of the value that a battery starting one pair later returns
+    az, aw, rho = _oracle_balls()
+    assert az.size >= 20000
+    first = _cone_ball(az, aw, rho, SQ2, 768), _cyl_ball(az, aw, rho, 768)
+    monkeypatch.setattr(boundary, "_FIRST_NODES", 64)
+    later = _cone_ball(az, aw, rho, SQ2, 768), _cyl_ball(az, aw, rho, 768)
+    for got, ref in zip(first, later):
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
 
 
 def test_batch_memory_stays_blocked():

@@ -1,6 +1,10 @@
 """Tensor quadrature over T and the rejection sampler."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hartogs.quadrature import (
     QuadratureSpec,
     _angular_nodes,
     _gl_unit,
+    gauss_kronrod,
     gauss_legendre,
     integrate_T,
     sample_T,
@@ -53,6 +58,71 @@ def test_gauss_legendre_cached_read_only():
 def test_gauss_legendre_invalid():
     with pytest.raises(ValueError):
         gauss_legendre(0)
+
+
+# QUADPACK's 15-point Kronrod rule QK15 (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
+# QUADPACK, Springer 1983): its nonnegative nodes from the largest, their Kronrod weights, and the
+# weights of the 7-point Gauss rule at every second of them, from 0.949...
+QK15_NODES = [0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+              0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+              0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+              0.207784955007898467600689403773245, 0.0]
+QK15_WEIGHTS = [0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                0.204432940075298892414161999234649, 0.209482141084727828012999174891714]
+QG7_WEIGHTS = [0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+               0.381830050505118944950369775488975, 0.417959183673469387755102040816327]
+
+
+def test_gauss_kronrod_matches_quadpack_15_point_rule():
+    x, w = gauss_kronrod(7)
+    assert x.shape == (15,) and w.shape == (2, 15)
+    np.testing.assert_allclose(x[7:][::-1], QK15_NODES, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w[0, 7:][::-1], QK15_WEIGHTS, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w[1, 7:][::-1][1::2], QG7_WEIGHTS, rtol=0.0, atol=1e-15)
+    assert np.all(w[1, ::2] == 0.0)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_gauss_kronrod_exact_through_degree_3n_plus_1(monkeypatch, n):
+    def no_eigenvectors(*args, **kwargs):
+        raise AssertionError("the rule is built without eigenvectors")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigenvectors)
+    x, w = gauss_kronrod.__wrapped__(n)  # built afresh, past the cache
+    gauss, gauss_weights = gauss_legendre(n)
+    assert np.array_equal(x[1::2], gauss) and np.array_equal(w[1, 1::2], gauss_weights)  # bitwise
+    assert np.all(w[1, ::2] == 0.0) and np.all(w[0] > 0.0)
+    assert np.all(np.diff(x) > 0.0) and np.array_equal(x, -x[::-1]) and np.array_equal(w[0], w[0, ::-1])
+    # Legendre polynomials integrate to 2 (degree 0) and 0: the Kronrod rule through degree 3n + 1,
+    # not at 3n + 2, and the Gauss column through 2n - 1 (leggauss's weights err by up to 1.3e-14
+    # at n = 128)
+    moments = np.polynomial.legendre.legvander(x, 3 * n + 2).T @ w.T
+    exact = np.zeros(3 * n + 3)
+    exact[0] = 2.0
+    np.testing.assert_allclose(moments[:3 * n + 2, 0], exact[:3 * n + 2], rtol=0.0, atol=1e-14)
+    assert abs(moments[3 * n + 2, 0]) > 1e-8
+    np.testing.assert_allclose(moments[:2 * n, 1], exact[:2 * n], rtol=0.0, atol=5e-14)
+
+
+def test_gauss_kronrod_cached_read_only():
+    x, w = gauss_kronrod(9)
+    again = gauss_kronrod(9)
+    assert again[0] is x and again[1] is w
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(ValueError):
+        gauss_kronrod(0)
+
+
+def test_no_kronrod_rule_is_built_at_import():
+    code = "import hartogs\nprint(hartogs.quadrature.gauss_kronrod.cache_info().currsize)\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def test_spec_validation():
