@@ -434,16 +434,11 @@ def _cyl_ball(az, aw, rho, n: int):
 
     az, aw, rho as for ``_cone_ball``.  n: ceiling on the measured node count
     per piece.  beta runs over (0, halfw), doubled; the squared fiber radius
-    rho^2 - |e^{i beta} - aw|^2 is base - 4 aw sin^2(beta/2).  A batch whose
-    balls all miss the cylinder (base <= 0) is 0 before any breakpoint is set
-    up; its ceiling is checked all the same.
+    rho^2 - |e^{i beta} - aw|^2 is base - 4 aw sin^2(beta/2).
     """
     (az, aw, rho), scalar = _balls(az, aw, rho)
     base = (rho - np.abs(1.0 - aw)) * (rho + np.abs(1.0 - aw))  # squared fiber radius at beta = 0
     live = base > 0.0
-    if not np.count_nonzero(live):
-        _check_ceiling(n)
-        return 0.0 if scalar else np.zeros(az.size)
     params = np.empty((az.size, 3))
     params[:, 0], params[:, 2] = base, az
     four_aw = np.multiply(4.0, aw, out=params[:, 1])

@@ -382,21 +382,6 @@ def test_parts_without_pieces_make_no_pass(monkeypatch):
         assert calls == parts  # every ball converges at the first pair
 
 
-def test_batches_missing_the_cylinder_make_no_pass(monkeypatch):
-    # a batch whose balls all miss the cylinder returns before any breakpoint is set up:
-    # no pass, and not even the driver
-    calls = []
-    for name in ("_measured", "_piece_sums"):
-        original = getattr(boundary, name)
-        monkeypatch.setattr(boundary, name, lambda *a, name=name, original=original: calls.append(name) or original(*a))
-    empty = _cyl_ball(0.3, 0.3, 0.1, 768)
-    assert _is_float(empty) and empty == 0.0
-    batch = _cyl_ball(np.array([0.3, 0.9, 0.0]), np.array([0.3, 0.5, 0.0]), np.array([0.1, 0.2, 0.5]), 768)
-    assert _is_batch(batch, 3) and np.all(batch == 0.0)
-    assert calls == []
-    assert _cyl_ball(0.3, 1.0, 0.1, 768) > 0.0 and calls == ["_measured", "_piece_sums"]  # one pair
-
-
 def test_cone_ball_memory_stays_blocked():
     tracemalloc.start()
     try:
