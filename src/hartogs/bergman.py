@@ -17,7 +17,7 @@ d/dw v_jk = (k-j) v_{j,k-1}.
 
 Evaluation uses the polar form (powers of r, s and one complex exponential)
 to stay stable near w -> 0 for k = -1.  Gram blocks use the factorized form
-of the tensor rule of :func:`hartogs.quadrature.integrate_T`, which is exact
+of the tensor rule on T, ``quadrature._tensor_rule``, which is exact
 for these integrands: one table of angular sums per distinct mode difference
 and one table of radial sums per distinct power pair, combined entry by entry.
 
@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .points import PolarPoint
-from .quadrature import QuadratureSpec, _abs2_sums, _gl_unit, _angular_nodes, _slab_sums
+from .quadrature import QuadratureSpec, _abs2_sums, _slab_sums, _tensor_rule
 
 __all__ = [
     "LaurentIndex",
@@ -100,25 +100,21 @@ def block_indices(jmax: int, kmax: int) -> list[LaurentIndex]:
 def basis_gram(jmax: int, kmax: int, spec: QuadratureSpec) -> tuple[list[LaurentIndex], np.ndarray]:
     """Gram matrix of the block under the tensor rule, factorized form.
 
-    Returns (indices, G) with G[a, b] = (v_a, v_b) as the quadrature would
-    produce it.  The 4D tensor sum splits as A(l_a - l_b) A(m_a - m_b)
+    Returns (indices, G) with G[a, b] = (v_a, v_b) as ``quadrature._tensor_rule``
+    would give it.  The 4D tensor sum splits as A(l_a - l_b) A(m_a - m_b)
     R(j_a + j_b, k_a + k_b): A(nu) is the angular midpoint sum of e^{i nu
     alpha}, one per distinct difference, and R(p, q) the radial Gauss sum of
-    x^p s^q against the weight, one per distinct power pair.  G is filled
+    x^p s^q against the weight W, one per distinct power pair.  G is filled
     from these two tables without materializing the 4D grid.
     """
     idxs = block_indices(jmax, kmax)
-    n = spec.level
-    xs, wxs = _gl_unit(n)
-    ss, wss = _gl_unit(n)
-    ang, wang = _angular_nodes(n)
-    W = (wxs * xs)[:, None] * (wss * ss**3)[None, :]
-
+    rule = _tensor_rule(spec.level)
+    t = rule.nodes  # x and s alike
     # mode differences span [-off, off]; radial powers p in [0, 2 jmax], q in [-2, 2 kmax]
     off = jmax + kmax + 1
-    A = np.array([complex(np.sum(np.exp(1j * nu * ang)) * wang) for nu in range(-off, off + 1)])
+    A = np.array([complex(np.sum(np.exp(1j * nu * rule.ang)) * rule.wang) for nu in range(-off, off + 1)])
     # radial profile of v_jk in (x, s): r^j s^{k-j} = x^j s^k
-    R = np.array([[np.sum(xs[:, None] ** p * ss[None, :] ** q * W) for q in range(-2, 2 * kmax + 1)]
+    R = np.array([[np.sum(t[:, None] ** p * t[None, :] ** q * rule.W) for q in range(-2, 2 * kmax + 1)]
                   for p in range(2 * jmax + 1)])
 
     j = np.array([idx.j for idx in idxs])
@@ -158,8 +154,8 @@ class LaurentCoefficients:
 def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentCoefficients:
     """Orthogonal projection coefficients a_jk = (f, v_jk) / ||v_jk||^2.
 
-    Evaluates f once on the tensor grid, in x-slabs of
-    ``quadrature._slab_sums``.  A broadcast slab (a field constant in beta,
+    Evaluates f once on the grid of ``quadrature._tensor_rule``, in x-slabs
+    of ``quadrature._slab_sums``.  A broadcast slab (a field constant in beta,
     say) is made contiguous once, and both reductions read that copy.  Each
     slab gives its angular sums of |f|^2, one einsum over the float64 parts
     (``quadrature._abs2_sums``), which carry the finite check, and its
@@ -175,22 +171,19 @@ def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentC
     the slab size, the coefficients to rounding.
     """
     idxs = block_indices(jmax, kmax)
-    n = spec.level
-    xs, wxs = _gl_unit(n)
-    ss, wss = _gl_unit(n)
-    ang, wang = _angular_nodes(n)
+    rule = _tensor_rule(spec.level)
 
     ls = sorted({idx.modes[0] for idx in idxs})
     ms = sorted({idx.modes[1] for idx in idxs})
-    El = np.exp(-1j * np.outer(ls, ang)) * wang  # (nl, n)
-    EmT = (np.exp(-1j * np.outer(ms, ang)) * wang).T  # (n, nm)
+    El = np.exp(-1j * np.outer(ls, rule.ang)) * rule.wang  # (nl, n)
+    EmT = (np.exp(-1j * np.outer(ms, rule.ang)) * rule.wang).T  # (n, nm)
     # index q of the block: its mode pair's positions, and its radial weights in s and in x
     j = np.array([idx.j for idx in idxs])
     k = np.array([idx.k for idx in idxs])
     lq = np.searchsorted(ls, j)
     mq = np.searchsorted(ms, k - j)
-    Ws = ss[:, None] ** k * (wss * ss**3)[:, None]  # (n, q)
-    Wx = xs[:, None] ** j * (wxs * xs)[:, None]  # (n, q)
+    Ws = rule.nodes[:, None] ** k * rule.ws[:, None]  # (n, q)
+    Wx = rule.nodes[:, None] ** j * rule.wx[:, None]  # (n, q)
 
     def reduce(vals):
         vals = np.ascontiguousarray(vals)  # a broadcast slab is copied once, for both reductions
@@ -200,9 +193,8 @@ def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentC
         F = (El @ vals) @ EmT
         yield np.einsum("isq,sq->iq", F[:, :, lq, mq], Ws)
 
-    sq, P = _slab_sums(f, xs[:, None] * ss, np.broadcast_to(ss, (n, n)), ang, reduce)
-    W = (wxs * xs)[:, None] * (wss * ss**3)[None, :]
-    norm_sq = float(np.sum(sq * W) * wang * wang)
+    sq, P = _slab_sums(f, rule.R, rule.S, rule.ang, reduce)
+    norm_sq = float(np.sum(sq * rule.W) * rule.wang * rule.wang)
     pairings = np.einsum("iq,iq->q", P, Wx)
     entries = {(idx.j, idx.k): complex(a) / v_norm_sq(idx) for idx, a in zip(idxs, pairings)}
     return LaurentCoefficients(entries=entries, jmax=jmax, kmax=kmax, f_norm_sq=norm_sq)

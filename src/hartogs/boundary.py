@@ -407,25 +407,25 @@ def _segment(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lens_area(big: float, small: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Intersection area of a disk of radius ``big`` at 0 and disks of radii
-    ``small`` >= 0 centered at distances ``dist``, elementwise.
+def _lens_area(small: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Intersection area of the unit disk at 0 and disks of radii ``small``
+    >= 0 centered at distances ``dist``, elementwise.
 
-    A lens is two circular segments, big^2 (2a - sin 2a)/2 + r^2 (2b - sin 2b)/2
+    A lens is two circular segments, (2a - sin 2a)/2 + r^2 (2b - sin 2b)/2
     with a, b the half-angles at the two centers, from atan2 and Heron's
     product; no step cancels, so thin lenses keep their relative accuracy.
     """
     out = np.zeros(small.shape)
-    full = dist <= np.abs(big - small)  # one disk inside the other
-    mid = ~full & (dist < big + small)
-    out[full] = np.pi * np.minimum(big, small[full]) ** 2
+    full = dist <= np.abs(1.0 - small)  # one disk inside the other
+    mid = ~full & (dist < 1.0 + small)
+    out[full] = np.pi * np.minimum(1.0, small[full]) ** 2
     if np.count_nonzero(mid):
         rm, d = small[mid], dist[mid]
-        tri = ((big - d) + rm) * ((d - big) + rm) * ((d + big) - rm) * (d + big + rm)
+        tri = ((1.0 - d) + rm) * ((d - 1.0) + rm) * ((d + 1.0) - rm) * (d + 1.0 + rm)
         root = np.sqrt(np.maximum(tri, 0.0))
-        a = np.arctan2(root, (d - rm) * (d + rm) + big * big)
-        b = np.arctan2(root, (d - big) * (d + big) + rm * rm)
-        out[mid] = 0.5 * (big * big * _segment(2.0 * a) + rm * rm * _segment(2.0 * b))
+        a = np.arctan2(root, (d - rm) * (d + rm) + 1.0)
+        b = np.arctan2(root, (d - 1.0) * (d + 1.0) + rm * rm)
+        out[mid] = 0.5 * (_segment(2.0 * a) + rm * rm * _segment(2.0 * b))
     return out
 
 
@@ -458,7 +458,7 @@ def _cyl_ball(az, aw, rho, n: int):
 
     def integrand(beta, rows):
         radii = np.sqrt(np.maximum(rows[:, 2:3] - rows[:, 3:4] * np.sin(0.5 * beta) ** 2, 0.0))
-        return 2.0 * _lens_area(1.0, radii, np.repeat(rows[:, 4:5], radii.shape[1], axis=1))  # even in beta
+        return 2.0 * _lens_area(radii, np.repeat(rows[:, 4:5], radii.shape[1], axis=1))  # even in beta
 
     return _measured(cuts, params, [(integrand, 8, live)], n, (az, aw, rho), scalar)
 
@@ -492,8 +492,8 @@ def _require_on_cone(r, s, tol: float = 1e-9):
 
 
 def _require_radius(rho):
-    if not np.all(np.asarray(rho) > 0):
-        raise ValueError("rho must be > 0")
+    if not np.all((np.asarray(rho) > 0) & np.isfinite(rho)):
+        raise ValueError("rho must be finite and > 0")
 
 
 def sigma_ball_Tinf(p, rho, spec: QuadratureSpec):

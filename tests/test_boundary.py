@@ -541,3 +541,9 @@ def test_non_finite_balls_raise():
     for t in (np.array([0.5, np.nan]), np.inf):
         with pytest.raises(ValueError):
             f_profile(t, SPEC)
+    # both cone-ball functions reject an infinite radius alike, as a number and in a radius list
+    p = PolarPoint(0.3, 0.1, 0.3, 0.2)
+    for ball in (sigma_ball_Tinf, sigma_ball_Tinf_direct):
+        for centre, rho in ((p, np.inf), ([p, p], [0.5, np.inf])):
+            with pytest.raises(ValueError, match="rho must be finite and > 0"):
+                ball(centre, rho, SPEC)

@@ -19,6 +19,7 @@ from hartogs.quadrature import (
     QuadratureSpec,
     _angular_nodes,
     _gl_unit,
+    _tensor_rule,
     gauss_kronrod,
     gauss_legendre,
     integrate_T,
@@ -208,6 +209,20 @@ def tensor_values_whole(f, xs, ss, ang):
         node = (float(xs[i] * ss[j]), float(ang[k]), float(ss[j]), float(ang[l]))
         raise NonFiniteIntegrandError(node, vals[i, j, k, l])
     return vals
+
+
+@pytest.mark.parametrize("n", [2, 9, 24, 64])
+def test_tensor_rule(n):
+    rule = _tensor_rule(n)
+    t = rule.nodes
+    assert 0.0 < t[0] and t[-1] < 1.0 and np.all(np.diff(t) > 0)
+    assert rule.R.shape == rule.S.shape == rule.W.shape == (n, n)
+    assert np.all(rule.R < rule.S)  # every node in the triangle r < s
+    # Gauss is exact for x and s^3 from n = 2: int x dx = 1/2, int s^3 ds = 1/4
+    assert abs(rule.wx.sum() - 0.5) < 1e-15 and abs(rule.ws.sum() - 0.25) < 1e-15
+    assert abs(rule.W.sum() - 0.125) < 1e-15
+    assert n * rule.wang == pytest.approx(2.0 * np.pi, rel=1e-15)
+    assert rule.ang.shape == (n,)
 
 
 def integrate_T_whole(f, spec):
