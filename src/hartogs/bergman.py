@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .points import PolarPoint
-from .quadrature import QuadratureSpec, _abs2_sums, _slab_sums, _tensor_rule
+from .quadrature import QuadratureSpec, _abs2_sums, _gl_unit, _slab_sums, _tensor_rule
 
 __all__ = [
     "LaurentIndex",
@@ -108,7 +108,7 @@ def basis_gram(jmax: int, kmax: int, spec: QuadratureSpec) -> tuple[list[Laurent
     from these two tables without materializing the 4D grid.
     """
     idxs = block_indices(jmax, kmax)
-    rule = _tensor_rule(spec.level)
+    rule = _tensor_rule(*_gl_unit(spec.level))
     t = rule.nodes  # x and s alike
     # mode differences span [-off, off]; radial powers p in [0, 2 jmax], q in [-2, 2 kmax]
     off = jmax + kmax + 1
@@ -171,7 +171,7 @@ def project(f: Callable, jmax: int, kmax: int, spec: QuadratureSpec) -> LaurentC
     the slab size, the coefficients to rounding.
     """
     idxs = block_indices(jmax, kmax)
-    rule = _tensor_rule(spec.level)
+    rule = _tensor_rule(*_gl_unit(spec.level))
 
     ls = sorted({idx.modes[0] for idx in idxs})
     ms = sorted({idx.modes[1] for idx in idxs})

@@ -10,8 +10,7 @@ x in (0,1).  That substitution turns the triangle {0 < r < s < 1} into a
 tensor-product square with smooth weight x*s^3 and removes the corner at the
 origin (the Jacobian weight rs vanishes there anyway).
 
-Rule layout per axis, all sizes ``QuadratureSpec.level``, built in one place,
-``_tensor_rule``, for ``integrate_T``, ``bergman.basis_gram`` and ``project``:
+Rule layout per axis, all sizes ``QuadratureSpec.level``, from ``_tensor_rule``:
 
 * x and s: Gauss-Legendre, exact for the polynomial radial profiles of the
   Laurent basis pairings (powers of r and s times the weight are polynomial
@@ -32,9 +31,10 @@ block index, so every pass holds about one slab.  A slab keeps f's values as
 float64 when they are real (bool, integer or float) and as complex128
 otherwise, so a real integrand is summed as reals, from half the bytes;
 ``project`` takes its sums of |f|^2 from ``_abs2_sums``, re^2 + im^2 per
-node over the float64 parts.  Each slab is evaluated exactly as the whole
-grid would be, row for row, so ``integrate_T`` does not depend on the slab
-size; ``project``'s transform may round differently in the last bits.
+node over the float64 parts.  Each slab is evaluated
+exactly as the whole grid would be, row for row, so ``integrate_T`` does not
+depend on the slab size; ``project``'s transform may round differently in
+the last bits.
 
 Randomness: ``sample_T`` rejection-samples the unit bidisk (accept |z| < |w|,
 acceptance rate 1/2) using numpy's default_rng, i.e. the PCG64 generator.
@@ -218,13 +218,13 @@ def _angular_nodes(n: int) -> tuple[np.ndarray, float]:
     return nodes, 2.0 * np.pi / n
 
 
-def _tensor_rule(n: int) -> SimpleNamespace:
-    """The level-n tensor rule on T, built on each call: ``nodes``, the Gauss
-    nodes on (0, 1) of both x = r/s and s; ``wx`` = x w_x and ``ws`` = s^3 w_s,
-    the radial weight factors, and ``W``, their (n, n) product; ``R`` = x s and
-    ``S`` = s (a read-only broadcast), the (n, n) nodes at which ``_slab_sums``
-    evaluates f; ``ang``, the midpoint angles, and ``wang``, their weight."""
-    t, w = _gl_unit(n)
+def _tensor_rule(t: np.ndarray, w: np.ndarray) -> SimpleNamespace:
+    """Tensor rule on T from a Gauss rule (t, w) on (0, 1) in x = r/s and s,
+    and n = len(t) midpoint angles: nodes t, weight factors wx = x w_x and
+    ws = s^3 w_s, their (n, n) product W, the (n, n) nodes R = x s and S = s
+    for ``_slab_sums``, and angles ang of weight wang.  Each caller passes
+    ``_gl_unit(level)`` by its own module's name, so a patched rule stays local."""
+    n = t.size
     ang, wang = _angular_nodes(n)
     wx, ws = w * t, w * t**3
     return SimpleNamespace(nodes=t, wx=wx, ws=ws, W=wx[:, None] * ws[None, :], R=t[:, None] * t,
@@ -300,12 +300,12 @@ def integrate_T(f: Callable, spec: QuadratureSpec) -> complex:
     float64, complex ones as complex128.  The result is always complex;
     real-valued callers take the real part themselves.
 
-    f is evaluated on the grid of ``_tensor_rule`` in x-slabs by ``_slab_sums``,
+    f is evaluated on the ``_tensor_rule`` grid in x-slabs by ``_slab_sums``,
     whose finite check runs on the angular sums of f: NonFiniteIntegrandError
     names the first node where f is nan/inf, and a sum that overflows gives
     an inf or nan result.
     """
-    rule = _tensor_rule(spec.level)
+    rule = _tensor_rule(*_gl_unit(spec.level))
     # the angular rule has constant weight, so sum angles, then weight radially by W = x s^3 w_x w_s
     (radial,) = _slab_sums(f, rule.R, rule.S, rule.ang, lambda vals: [np.einsum("ijkl->ij", vals)])
     return complex(np.sum(radial * rule.W) * rule.wang * rule.wang)

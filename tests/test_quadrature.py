@@ -213,8 +213,9 @@ def tensor_values_whole(f, xs, ss, ang):
 
 @pytest.mark.parametrize("n", [2, 9, 24, 64])
 def test_tensor_rule(n):
-    rule = _tensor_rule(n)
-    t = rule.nodes
+    t, w = _gl_unit(n)
+    rule = _tensor_rule(t, w)
+    assert rule.nodes is t
     assert 0.0 < t[0] and t[-1] < 1.0 and np.all(np.diff(t) > 0)
     assert rule.R.shape == rule.S.shape == rule.W.shape == (n, n)
     assert np.all(rule.R < rule.S)  # every node in the triangle r < s
