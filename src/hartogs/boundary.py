@@ -77,6 +77,11 @@ not grow with the batch.  The public functions accept a sequence of points
 for one such batch, and ``adr_scan`` evaluates every (center, radius) pair
 in one ``sigma_ball_bT`` call.
 
+Input.  One gate, ``_balls_on``, checks the public functions' balls: centres
+within 1e-9 of the surface, radii in (0, 1e100] on the cone and (0, 2 sqrt 2]
+on bT.  Such a ball has positive measure: a value not > 0 raises
+BallNotConvergedError.
+
 The normalized profile f(t) = sigma(B_1(p) cap bT_inf) at |p| = t gives the
 dilation law sigma(B_rho(p) cap bT_inf) = rho^3 f(|p|/rho), with
 
@@ -123,7 +128,7 @@ _BLOCK_CELLS = 2**14
 
 
 class BallNotConvergedError(ValueError):
-    """A boundary ball whose rules still disagree at the node ceiling."""
+    """A boundary ball unresolved at the node ceiling, or whose value is not > 0."""
 
 
 SIGMA_BT_TOTAL = (4.0 * _SQ2 / 3.0) * np.pi**2 + 2.0 * np.pi**2
@@ -463,37 +468,49 @@ def _cyl_ball(az, aw, rho, n: int):
     return _measured(cuts, params, [(integrand, 8, live)], n, (az, aw, rho), scalar)
 
 
-def _moduli(p):
-    """(|z|, |w|) of a PolarPoint as numbers, or of a sequence of them as arrays."""
+def _balls_on(p, rho, surface: str):
+    """(|z|, |w|) of the centres and the radii of balls B_rho(p) on ``surface``
+    ("cone": |z| = |w|, or "bT"), numbers for a PolarPoint or arrays for a
+    sequence; ValueError names the first centre over 1e-9 off it, or a radius
+    outside (0, 1e100] on the cone (rho^3 f stays finite) or (0, 2 sqrt 2] on bT."""
     if isinstance(p, PolarPoint):
-        return p.r, p.s
-    return np.array([q.r for q in p], dtype=float), np.array([q.s for q in p], dtype=float)
+        r, s = p.r, p.s
+    else:
+        (r, s), rho = np.array([[q.r for q in p], [q.s for q in p]], dtype=float), np.asarray(rho, dtype=float)
+    on = np.abs(r - s) <= 1e-9
+    where, top, rule = "the cone boundary", 1e100, "be finite and > 0, at most 1e100"
+    if surface == "bT":
+        on = on & (s <= 1.0 + 1e-9) | (np.abs(s - 1.0) <= 1e-9) & (r <= s + 1e-9)
+        where, top, rule = "bT", DIAM_T, "lie in (0, 2*sqrt(2)]"
+    if not on.all():
+        i = int(np.flatnonzero(~on)[0])
+        raise ValueError(f"point (r={np.atleast_1d(r)[i]}, s={np.atleast_1d(s)[i]}) is not on {where}")
+    radii = np.asarray(rho, dtype=float)
+    if not ((0.0 < radii) & (radii <= top)).all():
+        raise ValueError(f"rho must {rule}")
+    return r, s, rho
 
 
-def _first_off(bad, r, s, where: str):
-    """ValueError naming the first point (r, s) flagged in ``bad``."""
-    if np.count_nonzero(bad):
-        i = int(np.flatnonzero(bad)[0])
-        rs = (np.atleast_1d(r)[i], np.atleast_1d(s)[i])
-        raise ValueError(f"point (r={rs[0]}, s={rs[1]}) is not on {where}")
+def _positive(sigma, az, aw, rho):
+    """sigma, the measures of balls (az, aw, rho) centred on the surface: BallNotConvergedError names the
+    first value not > 0, which roundoff gives for a ball far smaller than its distance from the apex."""
+    positive = np.greater(sigma, 0.0)
+    if not positive.all():
+        i = int(np.flatnonzero(~positive)[0])
+        az, aw, rho, value = (float(np.ravel(x)[i]) for x in np.broadcast_arrays(az, aw, rho, sigma))
+        raise BallNotConvergedError(
+            f"boundary ball (az={az!r}, aw={aw!r}, rho={rho!r}) measured {value!r}, but a ball centred on "
+            "the surface has positive measure: its rules lost it to roundoff")
+    return sigma
 
 
 def f_profile(t, spec: QuadratureSpec):
     """Normalized cone profile f(t) = sigma(B_1(p) cap bT_inf), |p| = t;
     t a number (returns a float) or a 1-D array (one value each)."""
-    if not np.all(np.asarray(t) >= 0):
+    if not (np.asarray(t) >= 0).all():
         raise ValueError("t must be >= 0")
     a = np.asarray(t, dtype=float) / _SQ2
-    return _cone_ball(a, a, 1.0, None, spec.surface_cells)
-
-
-def _require_on_cone(r, s, tol: float = 1e-9):
-    _first_off(np.abs(np.subtract(r, s)) > tol, r, s, "the cone boundary")
-
-
-def _require_radius(rho):
-    if not np.all((np.asarray(rho) > 0) & np.isfinite(rho)):
-        raise ValueError("rho must be finite and > 0")
+    return _positive(_cone_ball(a, a, 1.0, None, spec.surface_cells), a, a, 1.0)
 
 
 def sigma_ball_Tinf(p, rho, spec: QuadratureSpec):
@@ -502,20 +519,14 @@ def sigma_ball_Tinf(p, rho, spec: QuadratureSpec):
     p: a PolarPoint, or a sequence of them with rho a number or one radius
     each; returns a float, or one value per point.
     """
-    r, s = _moduli(p)
-    _require_on_cone(r, s)
-    _require_radius(rho)
-    if not isinstance(p, PolarPoint):
-        rho = np.asarray(rho, dtype=float)
+    r, s, rho = _balls_on(p, rho, "cone")
     return rho**3 * f_profile(np.hypot(r, s) / rho, spec)
 
 
 def sigma_ball_Tinf_direct(p, rho, spec: QuadratureSpec):
     """Same measure by direct integration at the actual center and radius."""
-    r, s = _moduli(p)
-    _require_on_cone(r, s)
-    _require_radius(rho)
-    return _cone_ball(r, s, rho, None, spec.surface_cells)
+    r, s, rho = _balls_on(p, rho, "cone")
+    return _positive(_cone_ball(r, s, rho, None, spec.surface_cells), r, s, rho)
 
 
 def sigma_ball_bT(p, rho, spec: QuadratureSpec):
@@ -524,17 +535,9 @@ def sigma_ball_bT(p, rho, spec: QuadratureSpec):
     p: a PolarPoint, or a sequence of them with rho a number or one radius
     each; returns a float, or one value per point.
     """
-    r, s = _moduli(p)
-    on_cone = (np.abs(np.subtract(r, s)) <= 1e-9) & (np.asarray(s) <= 1.0 + 1e-9)
-    on_cyl = (np.abs(np.subtract(s, 1.0)) <= 1e-9) & (np.asarray(r) <= np.add(s, 1e-9))
-    _first_off(~(on_cone | on_cyl), r, s, "bT")
-    radii = np.asarray(rho, dtype=float)
-    if not np.all((0.0 < radii) & (radii <= DIAM_T)):
-        raise ValueError("rho must lie in (0, 2*sqrt(2)]")
+    r, s, rho = _balls_on(p, rho, "bT")
     n = spec.surface_cells
-    cone = _cone_ball(r, s, rho, _SQ2, n)
-    cyl = _cyl_ball(r, s, rho, n)
-    return cone + cyl
+    return _positive(_cone_ball(r, s, rho, _SQ2, n) + _cyl_ball(r, s, rho, n), r, s, rho)
 
 
 @dataclass(frozen=True)

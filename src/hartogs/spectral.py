@@ -416,12 +416,7 @@ def solve_neumann(f, l: int, m: int, n: int) -> np.ndarray:
     always replaced by f - mean(f) (mass-weighted), the compatible part of
     any source, and the solution has mass-weighted mean zero.
     """
-    return _solve_mode(build_mode(l, m, n), f)
-
-
-def _solve_mode(problem: ModeProblem, f) -> np.ndarray:
-    """:func:`solve_neumann` on an assembled mode problem."""
-    l, m, n = problem.l, problem.m, problem.n
+    problem = build_mode(l, m, n)
     if callable(f):
         fhat = np.asarray(f(problem.r_centers, problem.s_centers), dtype=float)
         fhat = np.broadcast_to(fhat, (problem.size,)).copy()

@@ -541,9 +541,29 @@ def test_non_finite_balls_raise():
     for t in (np.array([0.5, np.nan]), np.inf):
         with pytest.raises(ValueError):
             f_profile(t, SPEC)
-    # both cone-ball functions reject an infinite radius alike, as a number and in a radius list
+    # both cone-ball functions reject an infinite radius alike, as a number and in a radius list, and a
+    # finite one above 1e100, where rho^3 overflowed or the direct rule met NaN
     p = PolarPoint(0.3, 0.1, 0.3, 0.2)
     for ball in (sigma_ball_Tinf, sigma_ball_Tinf_direct):
-        for centre, rho in ((p, np.inf), ([p, p], [0.5, np.inf])):
-            with pytest.raises(ValueError, match="rho must be finite and > 0"):
-                ball(centre, rho, SPEC)
+        for bad in (np.inf, 1e101, 1e300):
+            for centre, rho in ((p, bad), ([p, p], [0.5, bad])):
+                with pytest.raises(ValueError, match="rho must be finite and > 0") as err:
+                    ball(centre, rho, SPEC)
+                assert type(err.value) is ValueError
+        assert ball(p, 1e100, SPEC) / 1e300 == pytest.approx(2 * np.pi**2 / 3, rel=1e-14)
+
+
+def test_ball_measured_zero_raises():
+    # a ball centred on the surface has positive measure; far out the cone profile loses about
+    # t * 1e-16 of its value to roundoff, and from t near 2e16 the ball's cuts collapse to no piece
+    named = "boundary ball (az=7.0710678118654744e+16, aw=7.0710678118654744e+16, rho=1.0) measured 0.0"
+    for t in (1e17, np.array([0.4, 1e17, 2e17])):
+        with pytest.raises(boundary.BallNotConvergedError) as err:
+            f_profile(t, SPEC)
+        assert str(err.value).startswith(named)
+    p = PolarPoint(0.3, 0.0, 0.3, 0.0)
+    for ball in (sigma_ball_bT, sigma_ball_Tinf, sigma_ball_Tinf_direct):
+        with pytest.raises(boundary.BallNotConvergedError, match="measured 0.0, but a ball centred on the surface"):
+            ball(p, 1e-20, SPEC)
+    with pytest.raises(boundary.BallNotConvergedError, match=r"\(az=0.3, aw=0.3, rho=1e-20\) measured 0.0"):
+        sigma_ball_bT([PolarPoint(0.3, 0.0, 1.0, 0.0), p], 1e-20, SPEC)

@@ -230,6 +230,23 @@ def test_python_m_hartogs_matches_main(tmp_path):
     assert out.read_bytes() == expected.read_bytes()
 
 
+def test_tiny_scan_radius_fails_the_scan_rows_quietly(tmp_path):
+    # balls of radius 1e-20 measure 0.0 to roundoff: the scan rows read unresolved, where they read a
+    # false lower-regularity failure with a RuntimeWarning on stderr
+    out = tmp_path / "adr.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hartogs", "adr", "--rho-set", "1e-20", "--out", str(out), "--format", "csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1 and proc.stderr == ""
+    with out.open() as fh:
+        rows = {row["check_id"]: row for row in csv.DictReader(fh)}
+    scan = ["adr.scan.min", "adr.scan.max", "adr.scan.refinement"]
+    assert [rows[check_id]["observed"] for check_id in scan] == ["-inf", "inf", "inf"]
+    assert [check_id for check_id, row in rows.items() if row["pass"] == "false"] == scan
+
+
 def test_config_unknown_key_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"pairs": 50, "bogus_option": 1}))

@@ -185,8 +185,9 @@ def test_lowest_eigenvalues_rejects_nan_stiffness(monkeypatch, l, m):
     monkeypatch.setattr(spectral, "_Factor", _no_factor)  # found before any factorisation
     with pytest.raises(EigenSolverError, match=rf"mode \({l},{m}\) at n=16"):
         _lowest_eigenvalues(prob, 2)
+    monkeypatch.setattr(spectral, "build_mode", lambda *args: prob)
     with pytest.raises(EigenSolverError, match=rf"mode \({l},{m}\) at n=16"):
-        spectral._solve_mode(prob, np.ones(prob.size))
+        solve_neumann(np.ones(prob.size), l, m, 16)
 
 
 def test_lowest_eigenvalues_fail_at_the_step_cap(monkeypatch):
