@@ -18,11 +18,12 @@ import os
 import sys
 
 # numpy's OpenBLAS starts one worker per extra core when numpy is imported, and
-# an idle worker busy-waits, which costs CPU time.  The package's BLAS calls are
-# kept below the sizes at which OpenBLAS threads them, so numpy is loaded with
-# one BLAS thread unless a thread count is set.  The environment is restored at
-# once, so child processes see the caller's; a caller who imported numpy first
-# keeps its pool.
+# an idle worker busy-waits, which costs CPU time.  The package keeps its BLAS
+# calls below the sizes OpenBLAS threads (dot products of at most 10,000
+# entries), so up to n = 192 results do not depend on the thread count, and
+# loads numpy with one BLAS thread unless a thread count is set.  The
+# environment is restored at once, so child processes see the caller's; a
+# caller who imported numpy first keeps its pool.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 if "numpy" not in sys.modules and not any(var in os.environ for var in _BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"

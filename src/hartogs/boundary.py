@@ -291,7 +291,9 @@ def _cone_h(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
     t[..., s] = k + s1 az + s2 aw for (s1, s2) = (1, 1), (1, -1), (-1, 1),
     (-1, -1); rows: the pieces' rows of the cone table.
     """
-    tz = t / rows[:, _AZ, None, None]
+    # az or aw below about 1e-300 overflows these to +-inf, the right limits: the fiber's ends
+    with np.errstate(over="ignore"):
+        tz, offset = t / rows[:, _AZ, None, None], rows[:, _HALF, None] * t[..., 3]
     # a2 = arccos((k + aw)/az): full circle on (0, a2); a1 = arccos((k - aw)/az): empty beyond a1
     ends = _arccos_from_ends(-tz[..., 2:], tz[..., :2])
     a2, a1 = ends[..., 0], ends[..., 1]
@@ -303,7 +305,7 @@ def _cone_h(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
     m, n = t.shape[1], a2.size
     x, wx = _cosine_kronrod(m // 2)
     start, width = (0.5 * a2).reshape(n), (0.5 * window).reshape(n)
-    ratio, offset = np.repeat(rows[:, _RATIO], m), (rows[:, _HALF, None] * t[..., 3]).reshape(n)
+    ratio, offset = np.repeat(rows[:, _RATIO], m), offset.reshape(n)
     half_fiber = np.empty((2, n))
     step = max(1, _BLOCK_CELLS // m)  # rows per block of the (r-node x alpha-node) work array
     work, denominator = np.empty((2, min(step, n), m))  # reused by every block
@@ -335,7 +337,8 @@ def _cone_h_closed(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
     a = rows[:, _AZ, None] + rows[:, _AW, None]
     apex = a == 0.0
     a = np.where(apex, 1.0, a)
-    return 2.0 * np.pi * np.where(apex, np.pi, _arccos_from_ends(-t[..., 3] / a, t[..., 0] / a))
+    with np.errstate(over="ignore"):  # a tiny a overflows t/a to +-inf, where the fiber is 0 or 2 pi
+        return 2.0 * np.pi * np.where(apex, np.pi, _arccos_from_ends(-t[..., 3] / a, t[..., 0] / a))
 
 
 def _cone_r2h(r: np.ndarray, rows: np.ndarray, h) -> np.ndarray:
@@ -507,8 +510,8 @@ def _positive(sigma, az, aw, rho):
 def f_profile(t, spec: QuadratureSpec):
     """Normalized cone profile f(t) = sigma(B_1(p) cap bT_inf), |p| = t;
     t a number (returns a float) or a 1-D array (one value each)."""
-    if not (np.asarray(t) >= 0).all():
-        raise ValueError("t must be >= 0")
+    if not (np.isfinite(t) & (np.asarray(t) >= 0)).all():
+        raise ValueError("t must be finite and >= 0")
     a = np.asarray(t, dtype=float) / _SQ2
     return _positive(_cone_ball(a, a, 1.0, None, spec.surface_cells), a, a, 1.0)
 

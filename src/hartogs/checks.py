@@ -463,9 +463,10 @@ def run_spectrum(params: RunParams) -> list[CheckRow]:
     # Galerkin identity on random test vectors for a smooth source
     n = params.grid
     problem = spectral.build_mode(0, 0, n)
-    fhat = np.cos(np.pi * problem.s_centers) + problem.r_centers
+    source = lambda r, s: np.cos(np.pi * s) + r
+    fhat = source(problem.r_centers, problem.s_centers)
     try:
-        u = spectral.solve_neumann(fhat, 0, 0, n)
+        u = spectral.solve_neumann(source, 0, 0, n)
     except spectral.EigenSolverError:
         galerkin = np.inf  # a solve that fails its residual check fails this row alone
     else:

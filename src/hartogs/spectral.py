@@ -40,8 +40,9 @@ suffice).  For mode_cut >= 1 that minimum is attained on the three modes
 :func:`poincare_constant`.
 
 Up to n = 192 every BLAS call stays below the sizes at which numpy's
-OpenBLAS starts a second thread, so the results do not depend on the thread
-count there (see ``_GEMV_ENTRIES``).
+OpenBLAS starts a second thread, and dot products over the cells are summed
+from pieces of at most 10,000 entries, so the results do not depend on the
+thread count there (see ``_GEMV_ENTRIES``).
 """
 
 from __future__ import annotations
@@ -75,12 +76,14 @@ _SHIFT = 0.5
 #: costs 1.7 us per cell against 0.8 us at 48.
 _BLOCK = 48
 # In a two-thread pool on 2 vCPUs, numpy 2.4.6's OpenBLAS 0.3.31 kept ``inv``
-# up to 97 x 97, ``@`` of two matrices up to 100 x 100 and a 31 x 14000
-# matrix-vector product on one thread (31 x 16000 took two).  Blocks stay
-# within that up to n = 192, where an anti-diagonal holds 96 cells, and the
-# reorthogonalisation products are cut into column chunks of at most
-# _GEMV_ENTRIES entries.
+# up to 97 x 97, ``@`` of two matrices up to 100 x 100, a 31 x 14000
+# matrix-vector product and a 10,000-entry dot product on one thread (31 x
+# 16000 and 10,001 entries took two; a split dot product rounds differently).
+# Blocks stay within that up to n = 192, where an anti-diagonal holds 96
+# cells; reorthogonalisation products are cut into column chunks of at most
+# _GEMV_ENTRIES entries and _DOT_ENTRIES columns, as a one-row one is a dot.
 _GEMV_ENTRIES = 2**18
+_DOT_ENTRIES = 10_000
 #: Lanczos steps before giving up; 10 eigenvalues take about 45 on these grids.
 _LANCZOS_STEPS = 300
 #: Steps the Lanczos basis first has room for; it doubles when a solve needs
@@ -224,11 +227,8 @@ class _Grid:
                 a.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=None)
-def _grid(n: int) -> _Grid:
-    """The layout of the n-grid, built once per n with the ``_BLOCK`` of that
-    moment; see :class:`_Factor`."""
-    return _Grid(n)
+# the n-grid's layout, built once per n with the ``_BLOCK`` of that moment
+_grid = functools.lru_cache(maxsize=None)(_Grid)
 
 
 def build_mode(l: int, m: int, n: int) -> ModeProblem:
@@ -280,10 +280,15 @@ class _Factor:
     once per n with the ``_BLOCK`` of that moment and shared by every mode
     and factor there.  A factor computes only values: the slot entries, the
     pairings through each odd cell, one bincount per block row [D_k | C_k],
-    the inverses and the couplings.
+    the inverses and the couplings.  It is the one entry into the
+    factorisation: EigenSolverError, naming the mode and n, when an entry of
+    ``diag`` or ``off`` is not finite or a Schur block is singular.
     """
 
     def __init__(self, problem: ModeProblem, diag: np.ndarray, off: np.ndarray):
+        context = f"mode ({problem.l},{problem.m}) at n={problem.n}"
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+            raise EigenSolverError(f"a factor entry of {context} is not finite")
         g = _grid(problem.n)
         self.odd, self.even, self.nbr, self.bounds = g.odd, g.even, g.nbr, g.bounds
         val = np.zeros(g.nbr.size)
@@ -300,7 +305,10 @@ class _Factor:
             D = R[:, :size]
             if k:
                 D = D - self.couplings[-1] @ C
-            self.inverses.append(np.linalg.inv(D))
+            try:
+                self.inverses.append(np.linalg.inv(D))
+            except np.linalg.LinAlgError as exc:
+                raise EigenSolverError(f"block {k} of the factor of {context} is singular: {exc}") from exc
             C = R[:, size:]  # C_k, used again at k + 1
             if C.size:
                 self.couplings.append(C.T @ self.inverses[-1])
@@ -321,12 +329,9 @@ class _Factor:
         return u
 
 
-def _finite_forms(problem: ModeProblem) -> None:
-    """EigenSolverError when a stiffness or mass entry is not finite."""
-    K = problem.stiffness
-    if not all(np.isfinite(a).all() for a in (K.weights, K.potential, problem.mass.values)):
-        raise EigenSolverError(
-            f"stiffness or mass of mode ({problem.l},{problem.m}) at n={problem.n} is not finite")
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x @ y summed from dot products of at most _DOT_ENTRIES entries, each on one BLAS thread."""
+    return sum(x[a:a + _DOT_ENTRIES] @ y[a:a + _DOT_ENTRIES] for a in range(0, x.size, _DOT_ENTRIES))
 
 
 def _lowest_eigenvalues(problem: ModeProblem, count: int) -> np.ndarray:
@@ -334,26 +339,22 @@ def _lowest_eigenvalues(problem: ModeProblem, count: int) -> np.ndarray:
         raise ValueError("count must be >= 1")
     if count >= problem.size:
         raise ValueError("count must be smaller than the problem size")
-    _finite_forms(problem)
     context = f"mode ({problem.l},{problem.m}) at n={problem.n}"
     # A + shift I with A = M^{-1/2} K M^{-1/2}, which has the eigenvalues of the pencil (K, M)
     K = problem.stiffness
     d = 1.0 / np.sqrt(problem.mass.values)
-    try:
-        factor = _Factor(problem, K.diagonal() * d * d + _SHIFT, -K.weights * (d[K.heads] * d[K.tails]))
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"factor failed for {context}: {exc}") from exc
+    factor = _Factor(problem, K.diagonal() * d * d + _SHIFT, -K.weights * (d[K.heads] * d[K.tails]))
 
     # fixed generic starting vector, so every run takes the same steps
     v = np.random.default_rng(1234).standard_normal(problem.size)
     steps = min(_LANCZOS_STEPS, problem.size)
     basis = np.empty((min(_FIRST_STEPS, steps) + 1, problem.size))
-    basis[0] = v / np.linalg.norm(v)
+    basis[0] = v / np.sqrt(_dot(v, v))
     alpha, beta = np.empty(steps), np.empty(steps)
     for j in range(steps):
         w = factor.solve(basis[j])
         V = basis[: j + 1]
-        width = max(1, _GEMV_ENTRIES // (j + 1))
+        width = max(1, min(_DOT_ENTRIES, _GEMV_ENTRIES // (j + 1)))
         chunks = [slice(a, a + width) for a in range(0, problem.size, width)]
         alpha[j] = 0.0
         for _ in range(2):  # classical Gram-Schmidt, twice
@@ -361,7 +362,7 @@ def _lowest_eigenvalues(problem: ModeProblem, count: int) -> np.ndarray:
             for c in chunks:
                 w[c] -= h @ V[:, c]
             alpha[j] += h[j]
-        beta[j] = np.linalg.norm(w)
+        beta[j] = np.sqrt(_dot(w, w))
         if j + 1 >= count:
             theta, s = np.linalg.eigh(np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1))
             theta, last = theta[-count:], s[-1, -count:]
@@ -411,42 +412,32 @@ def poincare_constant(n: int, mode_cut: int) -> float:
 def solve_neumann(f, l: int, m: int, n: int) -> np.ndarray:
     """Solve stiffness u = mass f-hat for mode (l, m) on the n-grid.
 
-    ``f`` is the mode amplitude: a callable f(r, s) evaluated at the cell
-    centers, or a vector of nodal values.  For the (0, 0) mode the data is
-    always replaced by f - mean(f) (mass-weighted), the compatible part of
-    any source, and the solution has mass-weighted mean zero.
+    ``f`` is the mode amplitude, a callable f(r, s) evaluated at the cell
+    centers (arrays r_centers and s_centers) and broadcast to one value per
+    cell.  For the (0, 0) mode the data is always replaced by f - mean(f)
+    (mass-weighted), the compatible part of any source, and the solution has
+    mass-weighted mean zero.
     """
     problem = build_mode(l, m, n)
-    if callable(f):
-        fhat = np.asarray(f(problem.r_centers, problem.s_centers), dtype=float)
-        fhat = np.broadcast_to(fhat, (problem.size,)).copy()
-    else:
-        fhat = np.asarray(f, dtype=float)
-        if fhat.shape != (problem.size,):
-            raise ValueError(f"expected {problem.size} nodal values, got {fhat.shape}")
-    _finite_forms(problem)
+    fhat = np.broadcast_to(np.asarray(f(problem.r_centers, problem.s_centers), dtype=float), (problem.size,))
     K = problem.stiffness
     w = problem.mass.values
     diag = K.diagonal()
     if (l, m) == (0, 0):
-        fhat = fhat - float(w @ fhat) / float(w.sum())
+        fhat = fhat - _dot(w, fhat) / float(w.sum())
         # K + kappa e_p e_p^T is SPD; for compatible data its solution solves
         # K u = b with u_p = 0, and is shifted to mean zero below.  p is the
         # outermost cell, whose diagonal is the largest: pinned at the apex
         # cell instead, the residual grows a hundredfold
         diag[-1] += diag[-1]
     b = w * fhat
-    try:
-        u = _Factor(problem, diag, -K.weights).solve(b)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"linear solve failed for mode ({l},{m}) at n={n}: {exc}") from exc
+    u = _Factor(problem, diag, -K.weights).solve(b)
     if (l, m) == (0, 0):
-        u -= float(w @ u) / float(w.sum())
+        u -= _dot(w, u) / float(w.sum())
 
-    residual = float(np.linalg.norm(K @ u - b))
+    residual, scale = (float(np.sqrt(_dot(x, x))) for x in (K @ u - b, b))
     # absolute floor keeps a numerically-zero right-hand side (e.g. demeaned
     # constant data) from turning roundoff into a spurious relative failure
-    scale = float(np.linalg.norm(b))
     if not residual <= 1e-8 * scale + 1e-12:  # a NaN residual fails too
         raise EigenSolverError(
             f"solver residual {residual:.3e} exceeds 1e-8 relative for mode ({l},{m})"

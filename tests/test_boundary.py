@@ -1,6 +1,7 @@
 """Boundary-measure engine: cone profile, ball measures, regularity scan."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -538,8 +539,8 @@ def test_non_finite_balls_raise():
         _cone_ball(np.array([0.3, np.nan]), 0.3, 0.5, None, 768)
     with pytest.raises(ValueError, match="finite"):
         _cyl_ball(0.3, 1.0, np.inf, 768)
-    for t in (np.array([0.5, np.nan]), np.inf):
-        with pytest.raises(ValueError):
+    for t in (np.array([0.5, np.nan]), np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"t must be finite and >= 0"):
             f_profile(t, SPEC)
     # both cone-ball functions reject an infinite radius alike, as a number and in a radius list, and a
     # finite one above 1e100, where rho^3 overflowed or the direct rule met NaN
@@ -551,6 +552,19 @@ def test_non_finite_balls_raise():
                     ball(centre, rho, SPEC)
                 assert type(err.value) is ValueError
         assert ball(p, 1e100, SPEC) / 1e300 == pytest.approx(2 * np.pi**2 / 3, rel=1e-14)
+
+
+def test_tiny_cone_centres_read_the_apex_value_without_warnings():
+    # below a centre modulus of about 1e-300 the alpha-window ends overflow to +-inf, their right
+    # limits; the ball is then the apex ball, sigma/rho^3 = 2 pi^2/3
+    apex = 2 * np.pi**2 / 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e-302, 1e-305, 1e-310, 5e-324):
+            assert f_profile(t, SPEC) == pytest.approx(apex, rel=1e-14)
+        for c, rho in [(c, rho) for c in (1e-300, 1e-301, 1e-320) for rho in (1e3, 1e50, 1e100)] + [(1e-250, 1e100)]:
+            assert sigma_ball_Tinf_direct(PolarPoint(c, 0.0, c, 0.0), rho, SPEC) / rho**3 == pytest.approx(apex, rel=1e-14)
+        assert sigma_ball_Tinf(PolarPoint(1e-300, 0.0, 1e-300, 0.0), 1e3, SPEC) / 1e9 == pytest.approx(apex, rel=1e-14)
 
 
 def test_ball_measured_zero_raises():
